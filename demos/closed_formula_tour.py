@@ -30,7 +30,7 @@ print("closed form:")
 print("  factors:", [(f.k, str(f.value), f.exponent) for f in report.factors])
 print("  raw formula value:", report.formula_value)
 print("  canonical value:  ", report.canonical_value)
-print("  ratio (always 2^(2^(n-1))):", report.normalization_ratio)
+print("  ratio (always 2^(2^(n-1))):", report.formula_value / report.canonical_value)
 print()
 
 print("reduction chain:")

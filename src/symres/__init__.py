@@ -9,16 +9,12 @@ resultant answers.
 """
 
 from .closedform import (
-    BinomialTable,
     ReportFactor,
     ResultantReport,
-    binomial,
-    canonical_factor,
     closed_form_factor,
     closed_form_resultant,
     grouped_product,
     formula_to_canonical_ratio,
-    poisson_product,
     resultant_via_reduction,
 )
 from .finsler import (
@@ -39,7 +35,6 @@ from .oracle import (
     det_rational,
     macaulay_resultant,
     root_witness,
-    sylvester_resultant,
     verify_witness,
 )
 from .polycore import (
@@ -51,7 +46,6 @@ from .polycore import (
     grevlex_key,
     monomials_of_degree,
     parse_scalar,
-    quad_product,
 )
 from .symcubic import (
     NormalizedCoeffs,
@@ -62,7 +56,6 @@ from .symcubic import (
 )
 
 __all__ = [
-    "BinomialTable",
     "ConfiguratrixResult",
     "DEGENERATE_METRIC_IDENTICALLY_ZERO",
     "DegenerateDenominatorError",
@@ -80,8 +73,6 @@ __all__ = [
     "Scalar",
     "SymmetricCubic",
     "TransformationUndefinedError",
-    "binomial",
-    "canonical_factor",
     "closed_form_factor",
     "closed_form_resultant",
     "configuratrix_resultant",
@@ -98,11 +89,8 @@ __all__ = [
     "monomials_of_degree",
     "formula_to_canonical_ratio",
     "parse_scalar",
-    "poisson_product",
-    "quad_product",
     "resultant_via_reduction",
     "root_witness",
-    "sylvester_resultant",
     "verify_witness",
 ]
 

@@ -10,9 +10,9 @@ sweep           evaluate the closed form over an (A1, A2) grid, one JSON
                 line per point, deterministic row-major order
 configuratrix   evaluate the configuratrix resultant at a momentum
 
-Exit codes: 0 success; 2 malformed input; 3 vanishing resultant (closed
-only); 4 resource guard tripped. All numbers in JSON payloads are decimal
-strings so exactness survives any JSON parser.
+Exit codes: 0 success; 1 routes disagree (compare only); 2 malformed input;
+3 vanishing resultant (closed only); 4 resource guard tripped. All numbers
+in JSON payloads are decimal strings so exactness survives any JSON parser.
 """
 from __future__ import annotations
 
@@ -121,32 +121,33 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(spec: dict) -> tuple[Fraction, Fraction, Fraction]:
+def _parse_range(spec: dict) -> tuple[Fraction, Fraction, int]:
+    """Start, step and point count of an inclusive grid range."""
     start = parse_scalar(str(spec["start"]))
     stop = parse_scalar(str(spec["stop"]))
     step = parse_scalar(str(spec["step"]))
     if step <= 0:
         raise ValueError("grid step must be positive")
-    return start, stop, step
-
-
-def _grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
-    count = int((stop - start) / step) + 1
+    count = (stop - start) // step + 1
     if count < 1:
         raise ValueError("empty grid range")
-    return [start + i * step for i in range(count)]
+    return start, step, count
 
 
 def cmd_sweep(args) -> int:
     spec = _read_json(args.input)
-    n = int(spec["n"])
-    a1_grid = _grid(*_parse_range(spec["A1"]))
-    a2_grid = _grid(*_parse_range(spec["A2"]))
+    n = spec["n"]
+    if type(n) is not int:
+        raise ValueError(f"n must be a JSON integer, got {n!r}")
+    a1_start, a1_step, a1_count = _parse_range(spec["A1"])
+    a2_start, a2_step, a2_count = _parse_range(spec["A2"])
     a3 = parse_scalar(str(spec["A3"]))
-    if len(a1_grid) * len(a2_grid) > MAX_SWEEP_POINTS:
+    if a1_count * a2_count > MAX_SWEEP_POINTS:
         raise MatrixSizeError(
-            f"sweep grid has {len(a1_grid) * len(a2_grid)} points "
+            f"sweep grid has {a1_count * a2_count} points "
             f"(limit {MAX_SWEEP_POINTS})")
+    a1_grid = [a1_start + i * a1_step for i in range(a1_count)]
+    a2_grid = [a2_start + i * a2_step for i in range(a2_count)]
     lines = []
     for a1 in a1_grid:
         for a2 in a2_grid:

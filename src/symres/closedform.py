@@ -1,16 +1,14 @@
 """Closed-form evaluation of the gradient-system resultant.
 
-Three routes live here:
+Two routes live here:
 
 * ``closed_form_resultant`` evaluates the factored formula in the normalized
   coefficients (b1, b2, b3); total for every valid cubic, including the
   strata where the reduction is undefined.
 * ``resultant_via_reduction`` runs the derivation chain: reduce to
-  F_i = x_i^2 + 2a*x_i*s1 + b*s1^2, take the sign-vector (Poisson) product,
-  and undo the linear transformation's determinant scaling.
-* ``poisson_product`` / ``grouped_product`` are the two equivalent forms of
-  the reduced system's resultant, one in quadratic-extension arithmetic over
-  all 2^n sign vectors, one as a binomially weighted rational product.
+  F_i = x_i^2 + 2a*x_i*s1 + b*s1^2, take the sign-vector (Poisson) product
+  in its grouped rational form ``grouped_product``, and undo the linear
+  transformation's determinant scaling.
 
 Two normalizations appear. The canonical one pins R{x_1^2,...,x_n^2} = 1
 (the Macaulay convention, and this library's ground truth); the raw factored
@@ -19,39 +17,12 @@ reported rather than hidden.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import QuadExt, Scalar, format_scalar, quad_product
+from .polycore import Scalar, format_scalar
 from .symcubic import NormalizedCoeffs, ReducedParams, SymmetricCubic
-
-
-class BinomialTable:
-    """Pascal-recurrence table of binomial coefficients, grown on demand."""
-
-    def __init__(self) -> None:
-        self._rows: list[list[int]] = [[1]]
-
-    def row(self, p: int) -> list[int]:
-        while len(self._rows) <= p:
-            prev = self._rows[-1]
-            self._rows.append(
-                [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-        return self._rows[p]
-
-    def choose(self, p: int, q: int) -> int:
-        if p < 0 or q < 0 or q > p:
-            raise ValueError(f"binomial({p}, {q}) out of range")
-        return self.row(p)[q]
-
-
-_TABLE = BinomialTable()
-
-
-def binomial(p: int, q: int) -> int:
-    """Exact C(p, q) via the Pascal recurrence; 0 <= q <= p required."""
-    return _TABLE.choose(p, q)
 
 
 def formula_to_canonical_ratio(n: int) -> Fraction:
@@ -81,7 +52,6 @@ class ResultantReport:
     formula_value: Fraction
     factors: tuple[ReportFactor, ...]
     vanishes: bool
-    normalization_ratio: Fraction | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,8 +62,8 @@ class ResultantReport:
                 {"k": f.k, "Y": format_scalar(f.value), "exp": f.exponent}
                 for f in self.factors
             ],
-            "ratio": None if self.normalization_ratio is None
-            else format_scalar(self.normalization_ratio),
+            "ratio": None if self.vanishes
+            else format_scalar(formula_to_canonical_ratio(len(self.factors))),
         }
 
 
@@ -121,71 +91,24 @@ def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:
     formula_value = prefactor
     for k in range(n):
         value = closed_form_factor(bp, n, k)
-        exponent = binomial(n - 1, k)
+        exponent = math.comb(n - 1, k)
         factors.append(ReportFactor(k=k, value=value, exponent=exponent))
         formula_value *= value ** exponent
     canonical = formula_value / formula_to_canonical_ratio(n)
-    vanishes = canonical == 0
     return ResultantReport(
         canonical_value=canonical,
         formula_value=formula_value,
         factors=tuple(factors),
-        vanishes=vanishes,
-        normalization_ratio=None if vanishes else formula_value / canonical,
+        vanishes=canonical == 0,
     )
 
 
-def canonical_factor(sc: SymmetricCubic, k: int) -> Scalar:
-    """k-th factor of the canonical resultant's product form.
-
-    canonical = product over k = 0..n-1 of canonical_factor(sc, k)**C(n-1, k);
-    each factor is (a3^(n-3)/8) * (d^3 - (n-2k)^2 * ((a2+a3)^2*d - 4*a3*N))
-    with N = 6*a1*a3 + a2*a3 - a2^2. Satisfies the exact identity
-    2 * canonical_factor == closed_form_factor * a3^(n-3).
-    """
-    n = sc.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k={k} out of range 0..{n - 1}")
-    d = 2 * sc.a3 - n * (sc.a2 + sc.a3)
-    inner = 6 * sc.a1 * sc.a3 + sc.a2 * sc.a3 - sc.a2 ** 2
-    body = d ** 3 - (n - 2 * k) ** 2 * ((sc.a2 + sc.a3) ** 2 * d - 4 * sc.a3 * inner)
-    lead = Fraction(1) if n == 3 else sc.a3 ** (n - 3)
-    return Fraction(lead, 8) * body
-
-
-def poisson_product(rp: ReducedParams, n: int, enumerate_full: bool = False) -> Scalar:
-    """Resultant of the reduced system as a product over sign vectors.
-
-    Each of the 2^n sign vectors (e_1,...,e_n) in {+1,-1}^n contributes the
-    factor 1 + n*a + r*sum(e_j) with r^2 = a^2 - b. The product is computed
-    in quadratic-extension arithmetic; it is symmetric under r -> -r, so the
-    radical part cancels exactly and the rational part is returned.
-
-    Grouping vectors by their number of -1 entries collapses the product to
-    n+1 distinct factors with multiplicities C(n, j); ``enumerate_full``
-    forces the literal 2^n enumeration instead (self-check, n small).
-    """
-    delta = rp.radicand
-    base = QuadExt.lift(1 + n * rp.a, delta)
-    r = QuadExt(0, 1, delta)
-    if enumerate_full:
-        factors = []
-        for signs in itertools.product((1, -1), repeat=n):
-            factors.append(base + r * sum(signs))
-        total = quad_product(factors)
-    else:
-        total = QuadExt.lift(1, delta)
-        for j in range(n + 1):
-            total = total * (base + r * (n - 2 * j)) ** binomial(n, j)
-    if total.radical != 0:
-        raise AssertionError("sign-vector product has nonzero radical part")
-    return total.rational
-
-
 def grouped_product(rp: ReducedParams, n: int) -> Scalar:
-    """Rational form of the sign-vector product.
+    """Resultant of the reduced system, as a rational product.
 
-    Pairing every sign vector with its negation multiplies conjugates, giving
+    The resultant is the product over the 2^n sign vectors e in {+1,-1}^n of
+    1 + n*a + r*sum(e_j) with r^2 = a^2 - b. Pairing every sign vector with
+    its negation multiplies conjugates, giving
     product over k = 0..n-1 of
     [(1 + n*a)^2 - (a^2 - b)*(n-2k)^2] ** C(n-1, k);
     note the minus sign (conjugate pairs multiply to c^2 - r^2*m^2).
@@ -193,7 +116,7 @@ def grouped_product(rp: ReducedParams, n: int) -> Scalar:
     c = 1 + n * rp.a
     total = Fraction(1)
     for k in range(n):
-        total *= (c * c - rp.radicand * (n - 2 * k) ** 2) ** binomial(n - 1, k)
+        total *= (c * c - rp.radicand * (n - 2 * k) ** 2) ** math.comb(n - 1, k)
     return total
 
 
@@ -203,10 +126,10 @@ def resultant_via_reduction(sc: SymmetricCubic) -> Scalar:
     The reduction F = T * grad(S) has det(T) = 2/(a3^(n-1)*d), and the
     resultant of n quadratic forms picks up det(T)^(2^(n-1)) under linear
     combinations of the forms, so
-    R{grad S} = poisson_product * (a3^(n-1)*d/2)^(2^(n-1)).
+    R{grad S} = grouped_product * (a3^(n-1)*d/2)^(2^(n-1)).
     Raises TransformationUndefinedError where the reduction fails.
     """
     rp = sc.reduced_params()
     n = sc.n
     scale = (sc.a3 ** (n - 1) * rp.d / 2) ** (2 ** (n - 1))
-    return poisson_product(rp, n) * scale
+    return grouped_product(rp, n) * scale

@@ -26,14 +26,9 @@ DEGENERATE_METRIC_IDENTICALLY_ZERO = "DEGENERATE_METRIC_IDENTICALLY_ZERO"
 
 @dataclass(frozen=True)
 class MetricFunction:
-    """Metric function with L^k = S; only the cubic case k = 3 is supported."""
+    """Cubic metric function L with L^3 = S."""
 
     s: SymmetricCubic
-    k_exponent: int = 3
-
-    def __post_init__(self):
-        if self.k_exponent != 3:
-            raise ValueError("only cubic metric functions (k = 3) are supported")
 
 
 @dataclass(frozen=True)
@@ -61,20 +56,10 @@ class ConfiguratrixResult:
     diagnostic: Optional[str]
 
 
-def indicatrix_degenerate(m: MetricFunction, cross_check: bool = False) -> tuple[bool, ResultantReport]:
-    """Whether the gradient system of S has a nontrivial common zero.
-
-    Decided by the closed-form resultant; with ``cross_check`` the Macaulay
-    oracle is run on the gradient system and must agree exactly.
-    """
+def indicatrix_degenerate(m: MetricFunction) -> tuple[bool, ResultantReport]:
+    """Whether the gradient system of S has a nontrivial common zero,
+    decided by the closed-form resultant."""
     report = closed_form_resultant(m.s)
-    if cross_check:
-        oracle_value = macaulay_resultant(
-            MacaulaySystem.from_forms(m.s.gradient_system()))
-        if oracle_value != report.canonical_value:
-            raise AssertionError(
-                f"oracle disagrees with closed form: {oracle_value} vs "
-                f"{report.canonical_value}")
     return report.vanishes, report
 
 

@@ -1,6 +1,5 @@
 """Independent ground truth: Macaulay-matrix resultants over exact rationals,
-a Sylvester cross-check for binary systems, and common-root witnesses for
-symmetric cubic gradient systems.
+and common-root witnesses for symmetric cubic gradient systems.
 
 The Macaulay construction used here, pinned for reproducibility among the
 classical variants: at critical degree nu = sum(d_i - 1) + 1, columns are the
@@ -254,40 +253,6 @@ def macaulay_resultant(system: MacaulaySystem, seed: int = 0) -> Scalar:
         if value is not None:
             return value / det_t ** deg_product
     return _pencil_value(forms, n, degrees)
-
-
-def sylvester_resultant(f: MultiPoly, g: MultiPoly) -> Scalar:
-    """Resultant of two binary homogeneous forms via the Sylvester matrix.
-
-    Coefficients are read off in decreasing powers of the first variable;
-    the convention matches the Macaulay normalization (R{x^m, y^p} = 1).
-    """
-    for name, p in (("f", f), ("g", g)):
-        if p.num_vars != 2:
-            raise ValueError(f"{name} is not a binary form")
-        if p.is_zero():
-            raise ValueError(f"{name} is zero")
-        if not p.is_homogeneous():
-            raise ValueError(f"{name} is not homogeneous")
-    m = f.total_degree()
-    p = g.total_degree()
-
-    def coeff_list(poly: MultiPoly, degree: int) -> list[Fraction]:
-        return [poly.coefficient((degree - i, i)) for i in range(degree + 1)]
-
-    a = coeff_list(f, m)
-    b = coeff_list(g, p)
-    size = m + p
-    rows = []
-    for j in range(p):
-        row = [Fraction(0)] * size
-        row[j:j + m + 1] = a
-        rows.append(row)
-    for j in range(m):
-        row = [Fraction(0)] * size
-        row[j:j + p + 1] = b
-        rows.append(row)
-    return det_rational(rows)
 
 
 # ---------------------------------------------------------------------------

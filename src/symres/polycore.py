@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 #: Exact rational scalar used throughout the library.
 Scalar = Fraction
@@ -175,18 +175,6 @@ class QuadExt:
         if self.radical < 0:
             b = format_scalar(-self.radical)
         return f"{format_scalar(self.rational)}{sign}{b}*r"
-
-
-def quad_product(factors: Iterable[QuadExt]) -> QuadExt:
-    """Exact product of quadratic-extension values sharing one radicand."""
-    it = iter(factors)
-    try:
-        result = next(it)
-    except StopIteration:
-        raise ValueError("quad_product of no factors is ambiguous (no radicand)")
-    for f in it:
-        result = result * f
-    return result
 
 
 class MultiPoly:
@@ -394,26 +382,6 @@ class MultiPoly:
                     term = term * images[i]
             result = result + term
         return result
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.num_vars,
-            "terms": [
-                {"exps": list(exps), "num": str(c.numerator), "den": str(c.denominator)}
-                for exps, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MultiPoly":
-        n = int(data["n"])
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for t in data["terms"]:
-            exps = tuple(int(e) for e in t["exps"])
-            terms[exps] = Fraction(int(t["num"]), int(t["den"]))
-        return cls(n, terms)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -85,29 +85,15 @@ class SymmetricCubic:
         return s1 * s1 * s1 * self.a1 + s1 * s2 * self.a2 + s3 * self.a3
 
     def gradient_system(self) -> list[MultiPoly]:
-        """The n quadratic forms dS/dx_i.
-
-        Built from the closed coefficient formula
-        a3*x_i^2 - (a2+a3)*x_i*s1 + (3a1+a2)*s1^2 + (a2+a3)*s2
-        and cross-checked against direct differentiation of expand().
-        """
+        """The n quadratic forms dS/dx_i, from the closed coefficient formula
+        a3*x_i^2 - (a2+a3)*x_i*s1 + (3a1+a2)*s1^2 + (a2+a3)*s2."""
         n = self.n
         s1 = elem_sym(n, 1)
-        s2 = elem_sym(n, 2)
-        s1sq = s1 * s1
-        expanded = self.expand()
+        shared = s1 * s1 * (3 * self.a1 + self.a2) + elem_sym(n, 2) * (self.a2 + self.a3)
         forms = []
         for i in range(n):
             xi = MultiPoly.variable(n, i)
-            form = (xi * xi * self.a3
-                    - xi * s1 * (self.a2 + self.a3)
-                    + s1sq * (3 * self.a1 + self.a2)
-                    + s2 * (self.a2 + self.a3))
-            direct = expanded.partial(i)
-            if form != direct:
-                raise AssertionError(
-                    f"gradient formula disagrees with differentiation at i={i}")
-            forms.append(form)
+            forms.append(xi * xi * self.a3 - xi * s1 * (self.a2 + self.a3) + shared)
         return forms
 
     # -- coefficient transformations ------------------------------------------
@@ -126,27 +112,17 @@ class SymmetricCubic:
     def reduced_system(self) -> list[MultiPoly]:
         """The n reduced forms F_i = x_i^2 + 2a*x_i*s1 + b*s1^2.
 
-        Also computed as (1/a3)*dS_i + (a2+a3)/(a3*d) * sum_j dS_j and
-        asserted equal: the linear combination eliminates the s2 term.
+        They equal (1/a3)*dS_i + (a2+a3)/(a3*d) * sum_j dS_j: the linear
+        combination eliminates the s2 term.
         """
         rp = self.reduced_params()
         n = self.n
         s1 = elem_sym(n, 1)
-        s1sq = s1 * s1
-        grads = self.gradient_system()
-        grad_sum = grads[0]
-        for g in grads[1:]:
-            grad_sum = grad_sum + g
-        mix = (self.a2 + self.a3) / (self.a3 * rp.d)
+        shared = s1 * s1 * rp.b
         forms = []
         for i in range(n):
             xi = MultiPoly.variable(n, i)
-            form = xi * xi + xi * s1 * (2 * rp.a) + s1sq * rp.b
-            via_transform = grads[i] * (Fraction(1) / self.a3) + grad_sum * mix
-            if form != via_transform:
-                raise AssertionError(
-                    f"reduced-form formula disagrees with the linear transformation at i={i}")
-            forms.append(form)
+            forms.append(xi * xi + xi * s1 * (2 * rp.a) + shared)
         return forms
 
     def normalized_coeffs(self) -> NormalizedCoeffs:
@@ -171,8 +147,11 @@ class SymmetricCubic:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymmetricCubic":
+        n = data["n"]
+        if type(n) is not int:
+            raise ValueError(f"n must be a JSON integer, got {n!r}")
         return cls(
-            int(data["n"]),
+            n,
             parse_scalar(str(data["A1"])),
             parse_scalar(str(data["A2"])),
             parse_scalar(str(data["A3"])),

@@ -1,5 +1,6 @@
 """Acceptance suite: every criterion is exact (no tolerances) and prints one
 PASS line; batch sizes and seeds are fixed so runs are reproducible."""
+import itertools
 import json
 import random
 import subprocess
@@ -10,8 +11,6 @@ from fractions import Fraction
 from symres.closedform import (
     closed_form_resultant,
     grouped_product,
-    formula_to_canonical_ratio,
-    poisson_product,
     resultant_via_reduction,
 )
 from symres.finsler import (
@@ -27,6 +26,7 @@ from symres.oracle import (
     root_witness,
     verify_witness,
 )
+from symres.polycore import QuadExt, format_scalar
 from symres.symcubic import ReducedParams, SymmetricCubic, TransformationUndefinedError
 
 
@@ -35,6 +35,20 @@ def random_integer_cubic(rng, n, lo=-9, hi=9):
         coeffs = [Fraction(rng.randint(lo, hi)) for _ in range(3)]
         if any(c != 0 for c in coeffs):
             return SymmetricCubic(n, *coeffs)
+
+
+def sign_vector_product(rp, n):
+    """The reduced system's resultant as the literal product over all 2^n
+    sign vectors e of 1 + n*a + r*sum(e_j), r^2 = a^2 - b, in Q(r).
+
+    The product is symmetric under r -> -r, so its radical part must cancel.
+    """
+    r = QuadExt(0, 1, rp.radicand)
+    total = QuadExt.lift(1, rp.radicand)
+    for signs in itertools.product((1, -1), repeat=n):
+        total = total * (1 + n * rp.a + r * sum(signs))
+    assert total.radical == 0
+    return total.rational
 
 
 _CASE_CACHE = {}
@@ -85,8 +99,8 @@ def test_criterion_2_normalization_pin():
         if report.vanishes:
             continue
         nonvanishing += 1
-        assert report.normalization_ratio == pinned[sc.n]
-        assert report.formula_value == oracle * formula_to_canonical_ratio(sc.n)
+        assert report.formula_value == oracle * pinned[sc.n]
+        assert report.to_json_dict()["ratio"] == format_scalar(pinned[sc.n])
     assert nonvanishing > 200
     print(f"ACCEPTANCE 2 normalization ratio 2^(2^(n-1)) "
           f"({nonvanishing} nonvanishing cases): PASS")
@@ -115,15 +129,12 @@ def test_criterion_3_anchor_values():
 def test_criterion_4_poisson_grouped_equivalence():
     start = time.time()
     rng = random.Random(44)
-    for i in range(100):
+    for _ in range(100):
         a = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
         b = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
         rp = ReducedParams(a=a, b=b, d=Fraction(1), radicand=a * a - b)
         for n in (3, 4, 5):
-            # poisson_product itself asserts the radical part is exactly 0
-            assert poisson_product(rp, n) == grouped_product(rp, n)
-            if n <= 4 and i < 20:
-                assert poisson_product(rp, n, enumerate_full=True) == grouped_product(rp, n)
+            assert sign_vector_product(rp, n) == grouped_product(rp, n)
     elapsed = time.time() - start
     assert elapsed < 5
     print(f"ACCEPTANCE 4 sign-vector product equals grouped product "

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -28,21 +29,33 @@ def run_cli(capsys, *argv):
 def test_closed_vanishing_signals_exit_three(tmp_path, capsys):
     path = write_json(tmp_path, "s3.json", PURE_S3)
     code, out, _ = run_cli(capsys, "closed", path)
-    payload = json.loads(out)
     assert code == 3
-    assert payload["vanishes"] is True
-    assert payload["canonical"] == "0"
+    assert out == (
+        '{"canonical": "0", "paper": "0", "vanishes": true, "factors": '
+        '[{"k": 0, "Y": "2", "exp": 1}, {"k": 1, "Y": "0", "exp": 2}, '
+        '{"k": 2, "Y": "0", "exp": 1}], "ratio": null, "value": "0"}\n')
 
 
 def test_closed_nonvanishing(tmp_path, capsys):
     path = write_json(tmp_path, "ps.json", POWER_SUMS)
     code, out, _ = run_cli(capsys, "closed", path)
-    payload = json.loads(out)
     assert code == 0
-    assert payload["canonical"] == "531441"
-    assert payload["paper"] == "8503056"
-    assert payload["ratio"] == "16"
-    assert payload["value"] == "531441"
+    assert out == (
+        '{"canonical": "531441", "paper": "8503056", "vanishes": false, "factors": '
+        '[{"k": 0, "Y": "54", "exp": 1}, {"k": 1, "Y": "54", "exp": 2}, '
+        '{"k": 2, "Y": "54", "exp": 1}], "ratio": "16", "value": "531441"}\n')
+
+
+def test_closed_nonvanishing_n4(tmp_path, capsys):
+    path = write_json(tmp_path, "ps4.json", dict(POWER_SUMS, n=4))
+    code, out, _ = run_cli(capsys, "closed", path)
+    assert code == 0
+    assert out == (
+        '{"canonical": "1853020188851841", "paper": "474373168346071296", '
+        '"vanishes": false, "factors": [{"k": 0, "Y": "54", "exp": 1}, '
+        '{"k": 1, "Y": "54", "exp": 3}, {"k": 2, "Y": "54", "exp": 3}, '
+        '{"k": 3, "Y": "54", "exp": 1}], "ratio": "256", '
+        '"value": "1853020188851841"}\n')
 
 
 def test_closed_paper_normalization_flag(tmp_path, capsys):
@@ -55,6 +68,17 @@ def test_closed_paper_normalization_flag(tmp_path, capsys):
 def test_closed_rejects_small_n(tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", {"n": 2, "A1": "1", "A2": "0", "A3": "0"})
     code, out, err = run_cli(capsys, "closed", path)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("command", ["closed", "sweep"])
+@pytest.mark.parametrize("n", [3.7, "3", True])
+def test_rejects_non_integer_n(tmp_path, capsys, command, n):
+    payload = dict(SWEEP_3X3 if command == "sweep" else POWER_SUMS, n=n)
+    path = write_json(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, command, path)
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
@@ -103,18 +127,16 @@ def test_compare_without_oracle(tmp_path, capsys):
 def test_witness_pure_s3(tmp_path, capsys):
     path = write_json(tmp_path, "s3.json", PURE_S3)
     code, out, _ = run_cli(capsys, "witness", path)
-    payload = json.loads(out)
     assert code == 0
-    assert payload["point"] == ["1", "0", "0"]
-    assert payload["field"] == "rational"
-    assert payload["pattern"] == {"k": 1, "t": "1", "u": "0"}
+    assert out == ('{"pattern": {"k": 1, "t": "1", "u": "0"}, '
+                   '"point": ["1", "0", "0"], "field": "rational"}\n')
 
 
 def test_witness_none_for_power_sums(tmp_path, capsys):
     path = write_json(tmp_path, "ps.json", POWER_SUMS)
     code, out, _ = run_cli(capsys, "witness", path)
     assert code == 0
-    assert json.loads(out) == {"witness": None}
+    assert out == '{"witness": null}\n'
 
 
 def test_witness_s1_zero_for_n4(tmp_path, capsys):
@@ -187,6 +209,15 @@ def test_sweep_zero_step_rejected(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+def test_sweep_stop_below_start_is_empty(tmp_path, capsys):
+    spec = dict(SWEEP_3X3, A1={"start": "1", "stop": "1/2", "step": "1"})
+    path = write_json(tmp_path, "grid.json", spec)
+    code, out, err = run_cli(capsys, "sweep", path)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "empty grid range"}
+
+
 def test_sweep_grid_guard(tmp_path, capsys):
     spec = {
         "n": 3,
@@ -198,6 +229,24 @@ def test_sweep_grid_guard(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", path)
     assert code == 4
     assert "error" in json.loads(err)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))
+
+
+def test_sweep_grid_guard_runs_before_allocation(tmp_path):
+    # a 10^12-point axis must be refused from its count, not built first
+    spec = dict(SWEEP_3X3, A1={"start": "0", "stop": str(10 ** 12), "step": "1"},
+                A2={"start": "0", "stop": "0", "step": "1"})
+    path = write_json(tmp_path, "grid.json", spec)
+    proc = subprocess.run(
+        [sys.executable, "-m", "symres", "sweep", path],
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_address_space)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error" in json.loads(proc.stderr)
 
 
 def test_sweep_deterministic_repeat(tmp_path, capsys):

@@ -6,17 +6,14 @@ from fractions import Fraction
 import pytest
 
 from symres.closedform import (
-    binomial,
-    canonical_factor,
     closed_form_factor,
     closed_form_resultant,
     grouped_product,
-    formula_to_canonical_ratio,
-    poisson_product,
     resultant_via_reduction,
 )
 from symres.symcubic import ReducedParams, SymmetricCubic, TransformationUndefinedError
 
+from test_acceptance import sign_vector_product
 from test_symcubic import random_cubic
 
 
@@ -26,25 +23,18 @@ def synthetic_params(a, b):
     return ReducedParams(a=a, b=b, d=Fraction(1), radicand=a * a - b)
 
 
-# -- binomial -----------------------------------------------------------------
+def canonical_factor(sc, k):
+    """Reference k-th factor of the canonical value, in a-coefficients.
 
-def test_binomial_examples():
-    assert binomial(2, 1) == 2
-    assert binomial(0, 0) == 1
-    assert binomial(6, 3) == 20
-
-
-def test_binomial_matches_math_comb():
-    for p in range(12):
-        for q in range(p + 1):
-            assert binomial(p, q) == math.comb(p, q)
-
-
-def test_binomial_range_errors():
-    with pytest.raises(ValueError):
-        binomial(3, 4)
-    with pytest.raises(ValueError):
-        binomial(3, -1)
+    canonical = product over k = 0..n-1 of canonical_factor(sc, k)**C(n-1, k);
+    each factor is (a3^(n-3)/8) * (d^3 - (n-2k)^2 * ((a2+a3)^2*d - 4*a3*N))
+    with N = 6*a1*a3 + a2*a3 - a2^2.
+    """
+    n = sc.n
+    d = 2 * sc.a3 - n * (sc.a2 + sc.a3)
+    inner = 6 * sc.a1 * sc.a3 + sc.a2 * sc.a3 - sc.a2 ** 2
+    body = d ** 3 - (n - 2 * k) ** 2 * ((sc.a2 + sc.a3) ** 2 * d - 4 * sc.a3 * inner)
+    return sc.a3 ** (n - 3) * body / 8
 
 
 # -- factors ------------------------------------------------------------------
@@ -88,7 +78,7 @@ def test_canonical_factor_product_is_canonical_value():
         sc = random_cubic(rng, rng.choice([3, 4]), denominators=True)
         product = Fraction(1)
         for k in range(sc.n):
-            product *= canonical_factor(sc, k) ** binomial(sc.n - 1, k)
+            product *= canonical_factor(sc, k) ** math.comb(sc.n - 1, k)
         assert product == closed_form_resultant(sc).canonical_value
 
 
@@ -99,7 +89,7 @@ def test_report_pure_s3_vanishes():
     assert report.vanishes
     assert report.formula_value == 0
     assert report.canonical_value == 0
-    assert report.normalization_ratio is None
+    assert report.to_json_dict()["ratio"] is None
 
 
 def test_report_pure_s1_cubed_vanishes():
@@ -112,7 +102,7 @@ def test_report_power_sums_values():
     report = closed_form_resultant(SymmetricCubic(3, 1, -3, 3))
     assert report.formula_value == 54 ** 4 == 8503056
     assert report.canonical_value == 3 ** 12 == 531441
-    assert report.normalization_ratio == 16
+    assert report.formula_value / report.canonical_value == 16
 
 
 def test_report_factor_structure():
@@ -121,7 +111,7 @@ def test_report_factor_structure():
         sc = random_cubic(rng, rng.choice([3, 4, 5]), denominators=True)
         report = closed_form_resultant(sc)
         n = sc.n
-        assert [f.exponent for f in report.factors] == [binomial(n - 1, k) for k in range(n)]
+        assert [f.exponent for f in report.factors] == [math.comb(n - 1, k) for k in range(n)]
         prefactor_exp = (n - 3) * 2 ** (n - 1)
         b3 = sc.normalized_coeffs().b3
         prefactor = Fraction(1) if prefactor_exp == 0 else b3 ** prefactor_exp
@@ -130,7 +120,7 @@ def test_report_factor_structure():
             rebuilt *= f.value ** f.exponent
         assert rebuilt == report.formula_value
         if not report.vanishes:
-            assert report.normalization_ratio == formula_to_canonical_ratio(n)
+            assert report.formula_value / report.canonical_value == 2 ** 2 ** (n - 1)
         assert report.vanishes == (report.canonical_value == 0) == (report.formula_value == 0)
 
 
@@ -151,20 +141,20 @@ def test_report_json_schema():
 # -- sign-vector products ----------------------------------------------------------
 
 def test_poisson_trivial_cases():
-    assert poisson_product(synthetic_params(0, 0), 3) == 1
-    assert poisson_product(synthetic_params(0, 0), 5) == 1
+    for n in (3, 5):
+        assert sign_vector_product(synthetic_params(0, 0), n) == grouped_product(
+            synthetic_params(0, 0), n) == 1
 
 
 def test_poisson_collapses_when_radicand_zero():
     a = Fraction(2, 7)
     rp = synthetic_params(a, a * a)  # b = a^2 forces r = 0
-    assert poisson_product(rp, 3) == (1 + 3 * a) ** 8
+    assert grouped_product(rp, 3) == (1 + 3 * a) ** 8
 
 
 def test_poisson_pure_s3_parameters_vanish():
     rp = SymmetricCubic(3, 0, 0, 1).reduced_params()
-    assert poisson_product(rp, 3) == 0
-    assert grouped_product(rp, 3) == 0
+    assert sign_vector_product(rp, 3) == grouped_product(rp, 3) == 0
 
 
 def test_grouped_examples():
@@ -175,27 +165,17 @@ def test_grouped_examples():
 
 def test_grouped_equals_poisson_random():
     rng = random.Random(6)
-    for _ in range(60):
-        n = rng.choice([3, 4, 5])
-        rp = synthetic_params(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        assert poisson_product(rp, n) == grouped_product(rp, n)
-
-
-def test_poisson_full_enumeration_self_check():
-    rng = random.Random(16)
-    for _ in range(12):
-        n = rng.choice([3, 4])
-        rp = synthetic_params(
-            Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
-            Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
-        assert poisson_product(rp, n) == poisson_product(rp, n, enumerate_full=True)
+    for n in range(3, 9):
+        for _ in range(10):
+            rp = synthetic_params(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            assert sign_vector_product(rp, n) == grouped_product(rp, n)
 
 
 def test_grouped_exponents_sum_to_half_the_vectors():
     for n in range(3, 8):
-        assert sum(binomial(n - 1, k) for k in range(n)) == 2 ** (n - 1)
+        assert sum(math.comb(n - 1, k) for k in range(n)) == 2 ** (n - 1)
 
 
 # -- reduction chain ------------------------------------------------------------------

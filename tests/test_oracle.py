@@ -11,7 +11,6 @@ from symres.oracle import (
     det_rational,
     macaulay_resultant,
     root_witness,
-    sylvester_resultant,
     verify_witness,
 )
 from symres.polycore import MultiPoly, QuadExt
@@ -167,6 +166,22 @@ def test_linear_substitution_covariance():
 
 
 # -- Sylvester cross-check ------------------------------------------------------------
+
+def sylvester_resultant(f, g):
+    """Reference resultant of two binary homogeneous forms via the Sylvester
+    matrix, coefficients in decreasing powers of the first variable; the
+    convention matches the Macaulay normalization (R{x^m, y^p} = 1)."""
+    m, p = f.total_degree(), g.total_degree()
+    a = [f.coefficient((m - i, i)) for i in range(m + 1)]
+    b = [g.coefficient((p - i, i)) for i in range(p + 1)]
+    rows = []
+    for coeffs, shifts in ((a, p), (b, m)):
+        for j in range(shifts):
+            row = [Fraction(0)] * (m + p)
+            row[j:j + len(coeffs)] = coeffs
+            rows.append(row)
+    return det_rational(rows)
+
 
 def test_sylvester_anchor():
     assert sylvester_resultant(poly2(1, 0, 0), poly2(0, 0, 1)) == 1

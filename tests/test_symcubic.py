@@ -119,11 +119,12 @@ def test_gradient_pure_s3():
 
 def test_gradient_matches_differentiation_random():
     rng = random.Random(8)
-    for _ in range(15):
-        sc = random_cubic(rng, rng.choice([3, 4]), denominators=True)
-        expanded = sc.expand()
-        for i, form in enumerate(sc.gradient_system()):
-            assert form == expanded.partial(i)
+    for n in range(3, 9):
+        for _ in range(4):
+            sc = random_cubic(rng, n, denominators=True)
+            expanded = sc.expand()
+            for i, form in enumerate(sc.gradient_system()):
+                assert form == expanded.partial(i)
 
 
 # -- reduction -------------------------------------------------------------------
@@ -182,6 +183,27 @@ def test_reduced_system_structure_random():
             xi = MultiPoly.variable(sc.n, i)
             assert form - (xi * xi + xi * s1 * (2 * rp.a) + s1sq * rp.b) == MultiPoly.zero(sc.n)
         checked += 1
+
+
+def test_reduced_system_is_linear_transform_of_gradients_random():
+    # F_i = dS_i/a3 + (a2+a3)/(a3*d) * sum_j dS_j eliminates the s2 term
+    rng = random.Random(32)
+    for n in range(3, 9):
+        checked = 0
+        while checked < 4:
+            sc = random_cubic(rng, n, denominators=True)
+            try:
+                rp = sc.reduced_params()
+            except TransformationUndefinedError:
+                continue
+            grads = sc.gradient_system()
+            grad_sum = MultiPoly.zero(n)
+            for g in grads:
+                grad_sum = grad_sum + g
+            mix = (sc.a2 + sc.a3) / (sc.a3 * rp.d)
+            for i, form in enumerate(sc.reduced_system()):
+                assert form == grads[i] * (1 / sc.a3) + grad_sum * mix
+            checked += 1
 
 
 # -- normalized coefficients -------------------------------------------------------
