@@ -27,7 +27,6 @@ from .finsler import (
     indicatrix_degenerate,
 )
 from .oracle import (
-    DegenerateDenominatorError,
     MacaulaySystem,
     MatrixSizeError,
     RootWitness,
@@ -58,7 +57,6 @@ from .symcubic import (
 __all__ = [
     "ConfiguratrixResult",
     "DEGENERATE_METRIC_IDENTICALLY_ZERO",
-    "DegenerateDenominatorError",
     "MacaulaySystem",
     "MatrixSizeError",
     "MetricFunction",

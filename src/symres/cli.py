@@ -11,8 +11,9 @@ sweep           evaluate the closed form over an (A1, A2) grid, one JSON
 configuratrix   evaluate the configuratrix resultant at a momentum
 
 Exit codes: 0 success; 1 routes disagree (compare only); 2 malformed input;
-3 vanishing resultant (closed only); 4 resource guard tripped. All numbers
-in JSON payloads are decimal strings so exactness survives any JSON parser.
+3 vanishing resultant (closed only); 4 resource guard tripped or memory
+exhausted. All numbers in JSON payloads are decimal strings so exactness
+survives any JSON parser.
 """
 from __future__ import annotations
 
@@ -101,7 +102,7 @@ def cmd_compare(args) -> int:
     oracle_json = None
     if args.oracle:
         oracle_value = macaulay_resultant(
-            MacaulaySystem.from_forms(cubic.gradient_system()), seed=args.seed)
+            MacaulaySystem.from_forms(cubic.gradient_system()))
         oracle_json = format_scalar(oracle_value)
         values.append(oracle_value)
     agree = all(v == values[0] for v in values)
@@ -167,7 +168,7 @@ def cmd_sweep(args) -> int:
 def cmd_configuratrix(args) -> int:
     metric = MetricFunction(SymmetricCubic.from_json_dict(_read_json(args.metric)))
     momentum = Momentum.from_json_dict(_read_json(args.momentum))
-    result = configuratrix_resultant(metric, momentum, seed=args.seed)
+    result = configuratrix_resultant(metric, momentum)
     payload = {
         "resultant": format_scalar(result.value),
         "vanishes": result.vanishes,
@@ -195,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("input", nargs="?", default=None)
     p_cmp.add_argument("--oracle", action="store_true",
                        help="include the Macaulay-matrix oracle")
-    p_cmp.add_argument("--seed", type=int, default=0,
-                       help="seed offset for oracle fallback substitutions")
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="configuratrix resultant at a momentum")
     p_conf.add_argument("metric", help="cubic JSON file ('-' for stdin)")
     p_conf.add_argument("momentum", help="momentum JSON file ('-' for stdin)")
-    p_conf.add_argument("--seed", type=int, default=0)
     p_conf.add_argument("--out", default=None)
     p_conf.set_defaults(func=cmd_configuratrix)
     return parser
@@ -225,8 +223,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixSizeError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+    except (MatrixSizeError, MemoryError) as exc:
+        sys.stderr.write(json.dumps({"error": str(exc) or "out of memory"}) + "\n")
         return EXIT_GUARD
     except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

@@ -46,7 +46,10 @@ class Momentum:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Momentum":
-        return cls(tuple(parse_scalar(str(v)) for v in data["y"]))
+        values = data["y"]
+        if type(values) is not list:
+            raise ValueError(f"y must be a JSON list, got {values!r}")
+        return cls(tuple(parse_scalar(str(v)) for v in values))
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ def configuratrix_system(m: MetricFunction, y: Momentum) -> list[MultiPoly]:
     return forms
 
 
-def configuratrix_resultant(m: MetricFunction, y: Momentum, seed: int = 0) -> ConfiguratrixResult:
+def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResult:
     """Macaulay resultant of the homogenized configuratrix system.
 
     Zero exactly when the momentum is attainable or when the homogenized
@@ -107,5 +110,5 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum, seed: int = 0) -> Co
     system = MacaulaySystem(
         forms=tuple(configuratrix_system(m, y)),
         degrees=(3,) + (2,) * n)
-    value = macaulay_resultant(system, seed=seed)
+    value = macaulay_resultant(system)
     return ConfiguratrixResult(value=value, vanishes=value == 0, diagnostic=None)

@@ -27,10 +27,6 @@ class MatrixSizeError(RuntimeError):
     """The Macaulay matrix would exceed the exact-arithmetic size budget."""
 
 
-class DegenerateDenominatorError(RuntimeError):
-    """All evaluation strategies failed to produce a usable denominator minor."""
-
-
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -113,11 +109,19 @@ class MacaulaySystem:
 
 
 def _build_matrix(forms, n, degrees):
-    """Macaulay matrix rows (column order) plus the non-reduced column indices."""
+    """Integer Macaulay rows (column order), one denominator multiplier per
+    row, and the non-reduced column indices. Each row is a shifted copy of one
+    form, so that form's denominators are cleared once, by their lcm."""
     nu = sum(d - 1 for d in degrees) + 1
     cols = monomials_of_degree(n, nu)
     col_index = {mono: i for i, mono in enumerate(cols)}
+    cleared = []
+    for f in forms:
+        lcm = math.lcm(*(c.denominator for c in f.terms.values()))
+        cleared.append((lcm, [(exps, c.numerator * (lcm // c.denominator))
+                              for exps, c in f.terms.items()]))
     rows = []
+    scales = []
     non_reduced = []
     for ci, beta in enumerate(cols):
         divisors = [i for i in range(n) if beta[i] >= degrees[i]]
@@ -126,22 +130,23 @@ def _build_matrix(forms, n, degrees):
         i = divisors[0]
         alpha = list(beta)
         alpha[i] -= degrees[i]
-        row = [Fraction(0)] * len(cols)
-        for exps, c in forms[i].terms.items():
-            shifted = tuple(a + b for a, b in zip(exps, alpha))
-            row[col_index[shifted]] = c
+        scale, terms = cleared[i]
+        row = [0] * len(cols)
+        for exps, c in terms:
+            row[col_index[tuple(a + b for a, b in zip(exps, alpha))]] = c
         rows.append(row)
-    return rows, non_reduced
+        scales.append(scale)
+    return rows, scales, non_reduced
 
 
-def _det_ratio(forms, n, degrees) -> Optional[Fraction]:
-    """det(M)/det(M'), or None when the denominator minor vanishes."""
-    rows, non_reduced = _build_matrix(forms, n, degrees)
-    sub = [[rows[r][c] for c in non_reduced] for r in non_reduced]
-    det_sub = det_rational(sub)
+def _det_ratio(rows, scales, non_reduced) -> Optional[Fraction]:
+    """det(M)/det(M'), or None when the denominator minor vanishes. The
+    multipliers of the rows M' keeps cancel; the reduced rows' remain."""
+    det_sub = det_bareiss([[rows[r][c] for c in non_reduced] for r in non_reduced])
     if det_sub == 0:
         return None
-    return det_rational(rows) / det_sub
+    return Fraction(det_bareiss(rows) * math.prod(scales[r] for r in non_reduced),
+                    det_sub * math.prod(scales))
 
 
 class _Lcg:
@@ -164,69 +169,43 @@ def _substitution_matrix(seed: int, n: int) -> list[list[int]]:
     return [[gen.small_entry() for _ in range(n)] for _ in range(n)]
 
 
-def _newton_coefficients(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    """Interpolating polynomial coefficients (ascending) via divided differences."""
-    n = len(xs)
-    dd = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for k in range(n):
-        for i, c in enumerate(basis):
-            poly[i] += dd[k] * c
-        shifted = [Fraction(0)] * (len(basis) + 1)
-        for i, c in enumerate(basis):
-            shifted[i + 1] += c
-            shifted[i] -= xs[k] * c
-        basis = shifted
-    return poly
-
-
-def _pencil_value(forms, n, degrees) -> Fraction:
+def _pencil_value(rows, scales, non_reduced) -> Fraction:
     """Resultant via the diagonal pencil, for denominators that never unstick.
 
-    Adding t to the diagonal of the Macaulay matrix realizes the deformed
-    system {F_i + t*x_i^(d_i)}; det(M + tI) and det(M' + tI) are monic, hence
-    nonzero, polynomials in t, and their exact ratio R(t) is the deformed
-    resultant, a polynomial whose value at t = 0 is the answer. It is
-    recovered from the lowest-order interpolated coefficients.
+    Adding t to the diagonal (t*multiplier on the integer rows) realizes the
+    deformed system {F_i + t*x_i^(d_i)}, whose resultant R(t) =
+    det(M+tI)/det(M'+tI) is a polynomial in t of degree D = N - N', the number
+    of reduced columns. R is sampled at t = 1, 2, ..., skipping the at most N'
+    roots of the monic det(M'+tI), and its D+1 samples are evaluated at t = 0
+    by Neville's scheme.
     """
-    rows, non_reduced = _build_matrix(forms, n, degrees)
-    sub = [[rows[r][c] for c in non_reduced] for r in non_reduced]
-
-    def sampled_coeffs(matrix) -> list[Fraction]:
-        size = len(matrix)
-        xs = [Fraction(t) for t in range(size + 1)]
-        ys = []
-        for t in range(size + 1):
-            shifted = [row[:] for row in matrix]
-            for i in range(size):
-                shifted[i][i] += t
-            ys.append(det_rational(shifted))
-        return _newton_coefficients(xs, ys)
-
-    coeffs_full = sampled_coeffs(rows)
-    coeffs_sub = sampled_coeffs(sub)
-    ord_full = next(i for i, c in enumerate(coeffs_full) if c != 0)
-    ord_sub = next(i for i, c in enumerate(coeffs_sub) if c != 0)
-    if ord_full > ord_sub:
-        return Fraction(0)
-    if ord_full < ord_sub:
-        raise DegenerateDenominatorError(
-            "pencil order sanity check failed (numerator order below denominator)")
-    return coeffs_full[ord_full] / coeffs_sub[ord_sub]
+    degree = len(rows) - len(non_reduced)
+    ts = []
+    values = []
+    t = 0
+    while len(ts) <= degree:
+        t += 1
+        shifted = [row[:] for row in rows]
+        for r, scale in enumerate(scales):
+            shifted[r][r] += t * scale
+        value = _det_ratio(shifted, scales, non_reduced)
+        if value is not None:
+            ts.append(t)
+            values.append(value)
+    for k in range(1, len(ts)):
+        for i in range(len(ts) - k):
+            values[i] = (ts[i + k] * values[i] - ts[i] * values[i + 1]) / (ts[i + k] - ts[i])
+    return values[0]
 
 
-def macaulay_resultant(system: MacaulaySystem, seed: int = 0) -> Scalar:
+def macaulay_resultant(system: MacaulaySystem) -> Scalar:
     """Macaulay-normalized resultant of the system, exact.
 
     Strategy: direct determinant ratio; if the denominator minor vanishes,
-    retry under deterministic invertible substitutions x -> T*x (seeds
-    seed+1..seed+8, entries in -2..2), dividing out det(T)^(d_1*...*d_n);
-    if every retry is stuck (positive-dimensional degenerations defeat all
-    substitutions), fall back to the diagonal pencil, which always resolves.
+    retry under deterministic invertible substitutions x -> T*x (seeds 1..8,
+    entries in -2..2), dividing out det(T)^(d_1*...*d_n); if every retry is
+    stuck (positive-dimensional degenerations defeat all substitutions),
+    fall back to the diagonal pencil, which always resolves.
     """
     forms = list(system.forms)
     degrees = list(system.degrees)
@@ -237,22 +216,20 @@ def macaulay_resultant(system: MacaulaySystem, seed: int = 0) -> Scalar:
         raise MatrixSizeError(
             f"Macaulay matrix would have {ncols}^2 entries "
             f"(limit {MAX_MATRIX_ENTRIES})")
-    value = _det_ratio(forms, n, degrees)
+    matrix = _build_matrix(forms, n, degrees)
+    value = _det_ratio(*matrix)
     if value is not None:
         return value
-    deg_product = 1
-    for d in degrees:
-        deg_product *= d
-    for s in range(seed + 1, seed + 9):
-        matrix = _substitution_matrix(s, n)
-        det_t = det_rational([[Fraction(x) for x in row] for row in matrix])
+    for s in range(1, 9):
+        transform = _substitution_matrix(s, n)
+        det_t = det_bareiss(transform)
         if det_t == 0:
             continue
-        substituted = [f.substitute_linear(matrix) for f in forms]
-        value = _det_ratio(substituted, n, degrees)
+        substituted = [f.substitute_linear(transform) for f in forms]
+        value = _det_ratio(*_build_matrix(substituted, n, degrees))
         if value is not None:
-            return value / det_t ** deg_product
-    return _pencil_value(forms, n, degrees)
+            return value / det_t ** math.prod(degrees)
+    return _pencil_value(*matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,11 @@ class SymmetricCubic:
     __slots__ = ("n", "a1", "a2", "a3")
 
     def __init__(self, n: int, a1: ScalarLike, a2: ScalarLike, a3: ScalarLike):
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
         if n < 3:
             raise ValueError(f"n must be >= 3, got {n} (the s-basis is not faithful below 3)")
-        self.n = int(n)
+        self.n = n
         self.a1 = Fraction(a1)
         self.a2 = Fraction(a2)
         self.a3 = Fraction(a3)
@@ -147,11 +149,8 @@ class SymmetricCubic:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymmetricCubic":
-        n = data["n"]
-        if type(n) is not int:
-            raise ValueError(f"n must be a JSON integer, got {n!r}")
         return cls(
-            n,
+            data["n"],
             parse_scalar(str(data["A1"])),
             parse_scalar(str(data["A2"])),
             parse_scalar(str(data["A3"])),

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import symres.cli
 from symres.cli import main
 
 POWER_SUMS = {"n": 3, "A1": "1", "A2": "-3", "A3": "3"}
@@ -84,6 +85,18 @@ def test_rejects_non_integer_n(tmp_path, capsys, command, n):
     assert "error" in json.loads(err)
 
 
+def test_memory_error_is_a_guard_exit(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cubic):
+        raise MemoryError
+
+    monkeypatch.setattr(symres.cli, "closed_form_resultant", out_of_memory)
+    path = write_json(tmp_path, "ps.json", POWER_SUMS)
+    code, out, err = run_cli(capsys, "closed", path)
+    assert code == 4
+    assert out == ""
+    assert json.loads(err) == {"error": "out of memory"}
+
+
 def test_closed_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -101,6 +114,20 @@ def test_compare_all_routes_agree(tmp_path, capsys):
     assert code == 0
     assert payload == {
         "boxed": "531441", "chain": "531441", "oracle": "531441", "agree": True}
+
+
+def test_compare_oracle_after_one_substitution_seed(tmp_path, capsys):
+    path = write_json(tmp_path, "c.json", {"n": 3, "A1": "0", "A2": "1", "A3": "1"})
+    code, out, _ = run_cli(capsys, "compare", path, "--oracle")
+    assert code == 0
+    assert out == '{"boxed": "-2160", "chain": "-2160", "oracle": "-2160", "agree": true}\n'
+
+
+def test_compare_oracle_through_the_pencil(tmp_path, capsys):
+    path = write_json(tmp_path, "c.json", {"n": 4, "A1": "4", "A2": "-1", "A3": "0"})
+    code, out, _ = run_cli(capsys, "compare", path, "--oracle")
+    assert code == 0
+    assert out == '{"boxed": "0", "chain": "unavailable", "oracle": "0", "agree": true}\n'
 
 
 def test_compare_chain_unavailable(tmp_path, capsys):
@@ -280,10 +307,9 @@ def test_configuratrix_generic(tmp_path, capsys):
     metric = write_json(tmp_path, "m.json", POWER_SUMS)
     momentum = write_json(tmp_path, "y.json", {"y": ["1", "1", "2"]})
     code, out, _ = run_cli(capsys, "configuratrix", metric, momentum)
-    payload = json.loads(out)
     assert code == 0
-    assert payload["vanishes"] is False
-    assert payload["resultant"] != "0"
+    assert out == ('{"resultant": "-51482459906870698503", "vanishes": false, '
+                   '"diagnostic": null}\n')
 
 
 def test_configuratrix_degenerate_metric(tmp_path, capsys):
@@ -294,6 +320,16 @@ def test_configuratrix_degenerate_metric(tmp_path, capsys):
     assert code == 0
     assert payload["vanishes"] is True
     assert payload["diagnostic"] == "DEGENERATE_METRIC_IDENTICALLY_ZERO"
+
+
+@pytest.mark.parametrize("y", ["123", {"1": 0, "2": 0, "3": 0}], ids=["string", "object"])
+def test_configuratrix_rejects_momentum_not_a_list(tmp_path, capsys, y):
+    metric = write_json(tmp_path, "m.json", POWER_SUMS)
+    momentum = write_json(tmp_path, "y.json", {"y": y})
+    code, out, err = run_cli(capsys, "configuratrix", metric, momentum)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
 
 
 def test_configuratrix_dimension_guard(tmp_path, capsys):

@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import symres.oracle
+from symres.finsler import MetricFunction, Momentum, configuratrix_system
 from symres.oracle import (
     MacaulaySystem,
     MatrixSizeError,
     RootWitness,
+    _build_matrix,
+    _pencil_value,
     det_bareiss,
     det_rational,
     macaulay_resultant,
@@ -163,6 +167,61 @@ def test_linear_substitution_covariance():
         substituted = [f.substitute_linear(t) for f in forms]
         value = macaulay_resultant(MacaulaySystem.from_forms(substituted))
         assert value == base * det_t ** 8
+
+
+def test_macaulay_pencil_matches_closed_form_random():
+    # the pencil on nonzero values: cubics whose direct ratio would resolve
+    rng = random.Random(58)
+    values = []
+    for _ in range(10):
+        sc = SymmetricCubic(3, *(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in range(3)))
+        values.append(_pencil_value(*_build_matrix(sc.gradient_system(), 3, [2, 2, 2])))
+        assert values[-1] == closed_form_resultant(sc).canonical_value
+    assert sum(1 for v in values if v != 0) >= 8
+
+
+def test_macaulay_pencil_matches_sylvester_mixed_degrees():
+    # forms with different denominators get different row multipliers, so
+    # the rows of each form take their own diagonal shift t*multiplier
+    rng = random.Random(59)
+    for _ in range(10):
+        degrees = (rng.randint(1, 3), rng.randint(1, 3))
+        forms = []
+        for d in degrees:
+            den = rng.randint(2, 5)
+            forms.append(MultiPoly(2, {(d - i, i): Fraction(rng.randint(1, 9), den)
+                                       for i in range(d + 1)}))
+        value = _pencil_value(*_build_matrix(forms, 2, list(degrees)))
+        assert value == sylvester_resultant(*forms)
+
+
+@pytest.mark.parametrize("forms, degrees, value, substitutions, pencil", [
+    (SymmetricCubic(3, 1, -3, 3).gradient_system(), (2, 2, 2), 531441, 0, 0),
+    (SymmetricCubic(3, 0, 1, 1).gradient_system(), (2, 2, 2), -2160, 3, 0),
+    (SymmetricCubic(4, 4, -1, 0).gradient_system(), (2, 2, 2, 2), 0, 24, 1),
+    (configuratrix_system(MetricFunction(SymmetricCubic(3, 1, -3, 3)),
+                          Momentum.of([1, 2, 3])),
+     (3, 2, 2, 2), 5255863844195018220057, 20, 0),
+], ids=["direct", "one-seed", "pencil", "configuratrix-five-seeds"])
+def test_macaulay_strategy_pins(monkeypatch, forms, degrees, value, substitutions, pencil):
+    # the direct ratio, then seeds 1..8 (one substitute_linear per form and
+    # usable seed), then the pencil
+    calls = {"substitute_linear": 0, "pencil": 0}
+    substitute_linear = MultiPoly.substitute_linear
+
+    def counted_substitute(self, matrix):
+        calls["substitute_linear"] += 1
+        return substitute_linear(self, matrix)
+
+    def counted_pencil(*matrix):
+        calls["pencil"] += 1
+        return _pencil_value(*matrix)
+
+    monkeypatch.setattr(MultiPoly, "substitute_linear", counted_substitute)
+    monkeypatch.setattr(symres.oracle, "_pencil_value", counted_pencil)
+    assert macaulay_resultant(MacaulaySystem(tuple(forms), degrees)) == value
+    assert calls == {"substitute_linear": substitutions, "pencil": pencil}
 
 
 # -- Sylvester cross-check ------------------------------------------------------------

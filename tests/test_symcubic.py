@@ -27,6 +27,13 @@ def test_rejects_small_n():
         SymmetricCubic(2, 1, 0, 0)
 
 
+@pytest.mark.parametrize("n", [3.7, 3.0, "3"])
+def test_rejects_non_integer_n(n):
+    # an n that is not an int is refused, never truncated to one
+    with pytest.raises(ValueError):
+        SymmetricCubic(n, 1, 0, 0)
+
+
 def test_rejects_zero_polynomial():
     with pytest.raises(ValueError):
         SymmetricCubic(3, 0, 0, 0)
