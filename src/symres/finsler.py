@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .closedform import ResultantReport, closed_form_resultant
 from .oracle import MacaulaySystem, MatrixSizeError, macaulay_resultant
-from .polycore import MultiPoly, Scalar, ScalarLike, format_scalar, parse_scalar
+from .polycore import MultiPoly, Scalar, ScalarLike, parse_scalar
 from .symcubic import SymmetricCubic
 
 DEGENERATE_METRIC_IDENTICALLY_ZERO = "DEGENERATE_METRIC_IDENTICALLY_ZERO"
@@ -40,9 +40,6 @@ class Momentum:
     @classmethod
     def of(cls, values: Sequence[ScalarLike]) -> "Momentum":
         return cls(tuple(Fraction(v) for v in values))
-
-    def to_json_dict(self) -> dict:
-        return {"y": [format_scalar(v) for v in self.y]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Momentum":

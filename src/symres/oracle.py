@@ -267,21 +267,29 @@ def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _binary_quadratic_roots(p: Fraction, q: Fraction, r: Fraction) -> list[tuple[Coordinate, Coordinate]]:
-    """Projective roots (t, u) of p*t^2 + q*t*u + r*u^2, deterministic order.
+def _binary_quadratic_roots(p: Fraction, q: Fraction, r: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Rational projective roots (t, u) of p*t^2 + q*t*u + r*u^2, in
+    deterministic order. The zero quadratic returns [].
 
-    Rational roots come out as Fractions; irrational ones as conjugate
-    QuadExt pairs over the discriminant. The zero quadratic returns [].
+    Irrational roots are dropped because no pattern point built from them is
+    a common root. Every coordinate z of a common root solves
+    a3*z^2 - c*s1*z + K = 0 with c = a2+a3 and K = (3a1+a2)*s1^2 + c*s2.
+    Suppose 0 < k < n (at k = 0 or n the one slot equation is a multiple of
+    u^2 or t^2) and rho = t/u is irrational.
+    If a3 != 0, rho and 1 are the two roots, so rho*(a3 - c*k) = c*(n-k) - a3.
+    That forces a3 = c*k = c*(n-k), hence n = 2k and d = 0, and the product
+    condition then reads k*(rho+1)^2*(k*(3a1+a2) + c*(k-1)/2) = 0. So either
+    rho = -1, or both slot quadratics vanish identically and the candidates
+    are the rational (1, 0) and (0, 1). If a3 = 0, t != u forces c*s1 = 0,
+    and s1 = 0 (which c = 0 also forces, through K = 3*a1*s1^2) makes rho
+    rational.
     """
     if p != 0:
-        disc = q * q - 4 * p * r
-        root = _sqrt_fraction(disc)
-        if root is not None:
-            ts = sorted({(-q - root) / (2 * p), (-q + root) / (2 * p)})
-            return [(t, Fraction(1)) for t in ts]
-        lo = QuadExt(-q / (2 * p), -abs(Fraction(1) / (2 * p)), disc)
-        hi = QuadExt(-q / (2 * p), abs(Fraction(1) / (2 * p)), disc)
-        return [(lo, Fraction(1)), (hi, Fraction(1))]
+        root = _sqrt_fraction(q * q - 4 * p * r)
+        if root is None:
+            return []
+        ts = sorted({(-q - root) / (2 * p), (-q + root) / (2 * p)})
+        return [(t, Fraction(1)) for t in ts]
     if q != 0:
         return [(-r / q, Fraction(1)), (Fraction(1), Fraction(0))]
     if r != 0:
@@ -289,71 +297,36 @@ def _binary_quadratic_roots(p: Fraction, q: Fraction, r: Fraction) -> list[tuple
     return []
 
 
-def _eval_binary(coeffs: tuple[Fraction, Fraction, Fraction], t: Coordinate, u: Coordinate):
-    p, q, r = coeffs
-    return t * t * p + t * u * q + u * u * r
-
-
-def _is_zero_value(x) -> bool:
-    if isinstance(x, QuadExt):
-        return x.is_zero()
-    return x == 0
-
-
 def _pattern_equations(sc: SymmetricCubic, k: int):
     """Representative gradient forms on points with k coords t and n-k coords u.
 
     By symmetry the n gradient equations collapse to at most two binary
-    quadratics in (t, u): the value at a t-slot and at a u-slot.
+    quadratics (p, q, r) in (t, u): the value at a t-slot and at a u-slot,
+    read off their values at (t, u) = (1, 0), (0, 1) and (1, 1).
     """
     n = sc.n
-    a1, a2, a3 = sc.a1, sc.a2, sc.a3
-    s1 = (Fraction(k), Fraction(n - k))  # linear in (t, u)
-    s1_sq = (s1[0] ** 2, 2 * s1[0] * s1[1], s1[1] ** 2)
-    s2 = (Fraction(k * (k - 1), 2), Fraction(k * (n - k)), Fraction((n - k) * (n - k - 1), 2))
-    c_lin = a2 + a3
-    c_sq = 3 * a1 + a2
-
-    def combine(pure: tuple[Fraction, Fraction, Fraction],
-                cross: tuple[Fraction, Fraction, Fraction]):
-        return tuple(
-            a3 * pure[i] - c_lin * cross[i] + c_sq * s1_sq[i] + c_lin * s2[i]
-            for i in range(3))
-
+    values = []
+    for t, u in ((1, 0), (0, 1), (1, 1)):
+        s1 = k * t + (n - k) * u
+        s2 = math.comb(k, 2) * t * t + k * (n - k) * t * u + math.comb(n - k, 2) * u * u
+        form = sc.gradient_given(s1, s2)
+        values.append((form(t), form(u)))
     eqs = []
-    if k > 0:
-        eqs.append(combine((Fraction(1), Fraction(0), Fraction(0)),
-                           (s1[0], s1[1], Fraction(0))))
-    if k < n:
-        eqs.append(combine((Fraction(0), Fraction(0), Fraction(1)),
-                           (Fraction(0), s1[0], s1[1])))
+    for slot, present in ((0, k > 0), (1, k < n)):
+        if present:
+            p, r, whole = (v[slot] for v in values)
+            eqs.append((p, whole - p - r, r))
     return eqs
 
 
-def _candidate_pairs(eqs) -> list[tuple[Coordinate, Coordinate]]:
+def _candidate_pairs(eqs) -> list[tuple[Fraction, Fraction]]:
     nonzero = [e for e in eqs if any(c != 0 for c in e)]
     if not nonzero:
         # every equation vanishes identically: any nonzero (t, u) works
         return [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
     head, rest = nonzero[0], nonzero[1:]
-    out = []
-    for t, u in _binary_quadratic_roots(*head):
-        if all(_is_zero_value(_eval_binary(e, t, u)) for e in rest):
-            out.append((t, u))
-    return out
-
-
-def _assemble_point(n: int, k: int, t: Coordinate, u: Coordinate) -> tuple[Coordinate, ...]:
-    radicand = None
-    for v in (t, u):
-        if isinstance(v, QuadExt):
-            radicand = v.radicand
-    if radicand is not None:
-        if not isinstance(t, QuadExt):
-            t = QuadExt.lift(t, radicand)
-        if not isinstance(u, QuadExt):
-            u = QuadExt.lift(u, radicand)
-    return tuple([t] * k + [u] * (n - k))
+    return [(t, u) for t, u in _binary_quadratic_roots(*head)
+            if all(p * t * t + q * t * u + r * u * u == 0 for p, q, r in rest)]
 
 
 def root_witness(sc: SymmetricCubic) -> Optional[RootWitness]:
@@ -361,44 +334,30 @@ def root_witness(sc: SymmetricCubic) -> Optional[RootWitness]:
 
     Search order: two-value patterns for k = 0..n (k coordinates t, the rest
     u), solving the collapsed pair of binary quadratics exactly over the
-    rationals or a quadratic extension, candidates in the deterministic order
-    of _binary_quadratic_roots. When that finds nothing and a3 = 0, the
-    family s1 = s2 = 0 always contains a root: (1, w, conj(w), 0, ..., 0)
-    with w a primitive cube root of unity. Returns None exactly when the
-    canonical resultant is nonzero.
+    rationals, candidates in the deterministic order of
+    _binary_quadratic_roots; the first nonzero one is returned. When that
+    finds nothing and a3 = 0, the family s1 = s2 = 0 always contains a root:
+    (1, w, conj(w), 0, ..., 0) with w a primitive cube root of unity.
+    Returns None exactly when the canonical resultant is nonzero.
     """
     n = sc.n
     for k in range(n + 1):
         for t, u in _candidate_pairs(_pattern_equations(sc, k)):
-            if k == 0 and _is_zero_value(u):
-                continue
-            if k == n and _is_zero_value(t):
-                continue
-            if _is_zero_value(t) and _is_zero_value(u):
-                continue
-            witness = RootWitness(point=_assemble_point(n, k, t, u), pattern=(k, t, u))
-            if verify_witness(sc, witness):
-                return witness
+            if (k > 0 and t != 0) or (k < n and u != 0):
+                return RootWitness(point=(t,) * k + (u,) * (n - k), pattern=(k, t, u))
     if sc.a3 == 0:
         omega = QuadExt(Fraction(-1, 2), Fraction(1, 2), Fraction(-3))
-        point = tuple(
-            [QuadExt.lift(1, Fraction(-3)), omega, omega.conjugate()]
-            + [QuadExt.lift(0, Fraction(-3))] * (n - 3))
-        witness = RootWitness(point=point, pattern=None)
-        if verify_witness(sc, witness):
-            return witness
-        raise AssertionError("s1 = s2 = 0 family failed verification with a3 = 0")
+        zero = QuadExt.lift(0, Fraction(-3))
+        point = (QuadExt.lift(1, Fraction(-3)), omega, omega.conjugate()) + (zero,) * (n - 3)
+        return RootWitness(point=point, pattern=None)
     return None
 
 
 def verify_witness(sc: SymmetricCubic, witness: RootWitness) -> bool:
     """True iff the point is nonzero and every gradient form vanishes there."""
     point = witness.point
-    if len(point) != sc.n:
+    if len(point) != sc.n or all(x == 0 for x in point):
         return False
-    if all(_is_zero_value(x) for x in point):
-        return False
-    for form in sc.gradient_system():
-        if not _is_zero_value(form.eval(point)):
-            return False
-    return True
+    s1 = sum(point)
+    form = sc.gradient_given(s1, (s1 * s1 - sum(x * x for x in point)) * Fraction(1, 2))
+    return all(form(x) == 0 for x in point)

@@ -139,17 +139,6 @@ class QuadExt:
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.rational, -self.radical, self.radicand)
 
-    def is_rational(self) -> bool:
-        return self.radical == 0
-
-    def is_zero(self) -> bool:
-        return self.rational == 0 and self.radical == 0
-
-    def to_scalar(self) -> Scalar:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} has a nonzero radical part")
-        return self.rational
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.radical == 0 and self.rational == other

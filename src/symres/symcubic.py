@@ -86,17 +86,23 @@ class SymmetricCubic:
         s3 = elem_sym(self.n, 3)
         return s1 * s1 * s1 * self.a1 + s1 * s2 * self.a2 + s3 * self.a3
 
+    def gradient_given(self, s1, s2):
+        """The map x -> dS/dx_i at a point with coordinate x_i = x, given that
+        point's s1 and s2: a3*x^2 - (a2+a3)*x*s1 + (3a1+a2)*s1^2 + (a2+a3)*s2.
+
+        Works over Fraction, QuadExt and MultiPoly alike; the part shared by
+        all n forms is computed once, here.
+        """
+        c = self.a2 + self.a3
+        cross = s1 * c
+        shared = s1 * s1 * (3 * self.a1 + self.a2) + s2 * c
+        return lambda x: x * x * self.a3 - x * cross + shared
+
     def gradient_system(self) -> list[MultiPoly]:
-        """The n quadratic forms dS/dx_i, from the closed coefficient formula
-        a3*x_i^2 - (a2+a3)*x_i*s1 + (3a1+a2)*s1^2 + (a2+a3)*s2."""
+        """The n quadratic forms dS/dx_i."""
         n = self.n
-        s1 = elem_sym(n, 1)
-        shared = s1 * s1 * (3 * self.a1 + self.a2) + elem_sym(n, 2) * (self.a2 + self.a3)
-        forms = []
-        for i in range(n):
-            xi = MultiPoly.variable(n, i)
-            forms.append(xi * xi * self.a3 - xi * s1 * (self.a2 + self.a3) + shared)
-        return forms
+        form = self.gradient_given(elem_sym(n, 1), elem_sym(n, 2))
+        return [form(MultiPoly.variable(n, i)) for i in range(n)]
 
     # -- coefficient transformations ------------------------------------------
 
@@ -138,14 +144,6 @@ class SymmetricCubic:
         )
 
     # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "A1": format_scalar(self.a1),
-            "A2": format_scalar(self.a2),
-            "A3": format_scalar(self.a3),
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymmetricCubic":

@@ -1,4 +1,5 @@
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -95,6 +96,30 @@ def test_memory_error_is_a_guard_exit(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert json.loads(err) == {"error": "out of memory"}
+
+
+def run_module(*argv):
+    return subprocess.run([sys.executable, "-m", "symres", *argv],
+                          capture_output=True, text=True, timeout=20)
+
+
+def test_closed_size_guard_runs_before_expanding(tmp_path):
+    # the n = 40 closed form has about 6.5e13 bits; it is refused from its
+    # factors' bit lengths instead of being expanded
+    proc = run_module("closed", write_json(tmp_path, "ps40.json", dict(POWER_SUMS, n=40)))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error" in json.loads(proc.stderr)
+
+
+def test_closed_vanishing_at_large_n_is_answered(tmp_path, capsys):
+    path = write_json(tmp_path, "s3.json", dict(PURE_S3, n=40))
+    code, out, _ = run_cli(capsys, "closed", path)
+    assert code == 3
+    payload = json.loads(out)
+    assert (payload["canonical"], payload["ratio"]) == ("0", None)
+    assert [f["exp"] for f in payload["factors"]] == [math.comb(39, k) for k in range(40)]
 
 
 def test_closed_rejects_malformed_json(tmp_path, capsys):
@@ -270,6 +295,16 @@ def test_sweep_grid_guard_runs_before_allocation(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "symres", "sweep", path],
         capture_output=True, text=True, timeout=20, preexec_fn=_limit_address_space)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error" in json.loads(proc.stderr)
+
+
+def test_sweep_one_point_size_guard(tmp_path):
+    spec = dict(SWEEP_3X3, n=40, A1={"start": "1", "stop": "1", "step": "1"},
+                A2={"start": "-3", "stop": "-3", "step": "1"}, A3="3")
+    proc = run_module("sweep", write_json(tmp_path, "grid.json", spec))
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

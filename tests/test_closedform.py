@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from symres.closedform import (
+    MAX_CLOSED_FORM_BITS,
     closed_form_factor,
     closed_form_resultant,
     grouped_product,
     resultant_via_reduction,
 )
+from symres.oracle import MatrixSizeError
 from symres.symcubic import ReducedParams, SymmetricCubic, TransformationUndefinedError
 
 from test_acceptance import sign_vector_product
@@ -205,3 +207,18 @@ def test_reduction_chain_matches_closed_form_random():
             continue
         assert chain == closed_form_resultant(sc).canonical_value
         checked += 1
+
+
+def test_size_guard_is_estimated_from_the_factors():
+    # power sums have every Y_k = 54 (6 + 1 bits of numerator and
+    # denominator) and b3 = 3 (2 + 1 bits): the estimate is 2^14*(7 + 12*3)
+    # at n = 15, under the budget, and 2^15*(7 + 13*3) at n = 16, over it
+    report = closed_form_resultant(SymmetricCubic(15, 1, -3, 3))
+    assert report.formula_value == 3 ** (12 * 2 ** 14) * 54 ** (2 ** 14)
+    assert 2 ** 14 * (7 + 12 * 3) < MAX_CLOSED_FORM_BITS < 2 ** 15 * (7 + 13 * 3)
+    with pytest.raises(MatrixSizeError):
+        closed_form_resultant(SymmetricCubic(16, 1, -3, 3))
+    # each factor counts with its exponent: at n = 4, factors 0, 1 and 3 have
+    # about 210,000 bits each and exponents 1, 3 and 1, about 1.05e6 in all
+    with pytest.raises(MatrixSizeError):
+        closed_form_resultant(SymmetricCubic(4, 2 ** 210000, 0, 1))

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +11,7 @@ DEMOS = ["closed_formula_tour", "configuratrix_tour", "degeneracy_witnesses",
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")], capture_output=True,
-        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=pythonpath))
+        text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ from symres.oracle import (
     MacaulaySystem,
     MatrixSizeError,
     RootWitness,
+    _binary_quadratic_roots,
     _build_matrix,
     _pencil_value,
     det_bareiss,
@@ -364,3 +365,72 @@ def test_witness_iff_vanishing_random():
         assert (w is not None) == vanishes
         if w is not None:
             assert verify_witness(sc, w)
+
+
+def test_binary_quadratic_roots_are_rational_only():
+    assert _binary_quadratic_roots(Fraction(1), Fraction(0), Fraction(-2)) == []
+    assert _binary_quadratic_roots(Fraction(1), Fraction(0), Fraction(-4)) == [
+        (Fraction(-2), Fraction(1)), (Fraction(2), Fraction(1))]
+    assert _binary_quadratic_roots(Fraction(0), Fraction(2), Fraction(1)) == [
+        (Fraction(-1, 2), Fraction(1)), (Fraction(1), Fraction(0))]
+
+
+def _from_normalized(n, b1, b2, b3):
+    """The cubic with normalized coefficients (b1, b2, b3)."""
+    a2 = (b2 - (n - 2) * b3) / n
+    a1 = (b1 - Fraction(n * (n - 1), 2) * a2 - Fraction((n - 1) * (n - 2), 6) * b3) / (n * n)
+    return SymmetricCubic(n, a1, a2, b3)
+
+
+def _stratum_cubic(stratum, rng, n):
+    def nonzero():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    if stratum == "d0-balanced":
+        # n = 2k, a3 = c*k (so d = 0) and k*(3a1+a2) + c*(k-1)/2 = 0
+        k, c = n // 2, nonzero()
+        a3 = c * k
+        a2 = c - a3
+        return SymmetricCubic(n, (-c * (k - 1) / (2 * k) - a2) / 3, a2, a3)
+    if stratum == "c0":
+        a2 = nonzero()
+        return SymmetricCubic(n, Fraction(rng.randint(-3, 3)), a2, -a2)
+    if stratum == "a3-zero":
+        return SymmetricCubic(n, nonzero(), Fraction(rng.randint(-3, 3)), 0)
+    # factor k of the closed form vanishes
+    k, b2, b3 = rng.randrange(n), nonzero(), nonzero()
+    if 2 * k == n:
+        sc = _from_normalized(n, nonzero(), Fraction(0), b3)
+    else:
+        sc = _from_normalized(n, k * (n - k) * b2 ** 3 / (6 * (n - 2 * k) ** 2 * b3 ** 2), b2, b3)
+    assert closed_form_resultant(sc).factors[k].value == 0
+    return sc
+
+
+@pytest.mark.parametrize("stratum", ["d0-balanced", "c0", "a3-zero", "factor-k"])
+def test_witness_iff_vanishing_on_strata(stratum):
+    rng = random.Random(stratum)
+    found = 0
+    for n in range(3, 9):
+        if stratum == "d0-balanced" and n % 2:
+            continue
+        for _ in range(6):
+            sc = _stratum_cubic(stratum, rng, n)
+            w = root_witness(sc)
+            assert (w is not None) == closed_form_resultant(sc).vanishes
+            if w is None:
+                continue
+            found += 1
+            assert verify_witness(sc, w)
+            assert any(x != 0 for x in w.point)
+            assert all(form.eval(w.point) == 0 for form in sc.gradient_system())
+            if w.pattern is not None:
+                k, t, u = w.pattern
+                assert type(t) is Fraction and type(u) is Fraction
+                assert w.point == (t,) * k + (u,) * (n - k)
+    assert found
+
+
+def test_witness_at_large_n_is_the_first_unit_vector():
+    w = root_witness(SymmetricCubic(200, 0, 0, 1))
+    assert w.point == (Fraction(1),) + (Fraction(0),) * 199

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symres.polycore import MultiPoly, elem_sym
+from symres.polycore import MultiPoly, QuadExt, elem_sym
 from symres.symcubic import SymmetricCubic, TransformationUndefinedError, decompose
 
 
@@ -134,6 +134,20 @@ def test_gradient_matches_differentiation_random():
                 assert form == expanded.partial(i)
 
 
+def test_gradient_given_matches_differentiation_at_points():
+    rng = random.Random(21)
+    for n in range(3, 9):
+        for _ in range(3):
+            sc = random_cubic(rng, n, denominators=True)
+            expanded = sc.expand()
+            rational = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            quadratic = [QuadExt(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                 rng.randint(-3, 3), -3) for _ in range(n)]
+            for point in (rational, quadratic):
+                form = sc.gradient_given(elem_sym(n, 1).eval(point), elem_sym(n, 2).eval(point))
+                for i in range(n):
+                    assert form(point[i]) == expanded.partial(i).eval(point)
+
 # -- reduction -------------------------------------------------------------------
 
 def test_reduced_params_power_sums():
@@ -248,7 +262,7 @@ def test_b1_is_value_at_all_ones_over_n():
 # -- serialization ------------------------------------------------------------------
 
 def test_json_round_trip():
-    sc = SymmetricCubic(4, Fraction(1, 3), Fraction(-5), Fraction(7, 2))
-    data = sc.to_json_dict()
-    assert data == {"n": 4, "A1": "1/3", "A2": "-5", "A3": "7/2"}
-    assert SymmetricCubic.from_json_dict(data) == sc
+    data = {"n": 4, "A1": "1/3", "A2": "-5", "A3": "7/2"}
+    sc = SymmetricCubic.from_json_dict(data)
+    assert sc == SymmetricCubic(4, Fraction(1, 3), Fraction(-5), Fraction(7, 2))
+    assert repr(sc) == "SymmetricCubic(n=4, a1=1/3, a2=-5, a3=7/2)"
