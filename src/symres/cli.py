@@ -32,7 +32,7 @@ from .oracle import (
     macaulay_resultant,
     root_witness,
 )
-from .polycore import QuadExt, format_scalar, parse_scalar
+from .polycore import format_scalar, parse_scalar
 from .symcubic import SymmetricCubic, TransformationUndefinedError
 
 EXIT_OK = 0
@@ -58,12 +58,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _coordinate_string(value) -> str:
-    if isinstance(value, QuadExt):
-        return str(value)
-    return format_scalar(value)
-
-
 def witness_json(witness: Optional[RootWitness]) -> dict:
     if witness is None:
         return {"witness": None}
@@ -72,10 +66,10 @@ def witness_json(witness: Optional[RootWitness]) -> dict:
     pattern = None
     if witness.pattern is not None:
         k, t, u = witness.pattern
-        pattern = {"k": k, "t": _coordinate_string(t), "u": _coordinate_string(u)}
+        pattern = {"k": k, "t": str(t), "u": str(u)}
     return {
         "pattern": pattern,
-        "point": [_coordinate_string(x) for x in witness.point],
+        "point": [str(x) for x in witness.point],
         "field": field,
     }
 
@@ -226,7 +220,7 @@ def main(argv=None) -> int:
     except (MatrixSizeError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc) or "out of memory"}) + "\n")
         return EXIT_GUARD
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return EXIT_INPUT
 

@@ -1,6 +1,6 @@
 """Closed-form evaluation of the gradient-system resultant.
 
-Two routes live here:
+Two routes live here, expanded through one kernel under one size budget:
 
 * ``closed_form_resultant`` evaluates the factored formula in the normalized
   coefficients (b1, b2, b3); total for every valid cubic, including the
@@ -17,7 +17,6 @@ reported rather than hidden.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,44 +86,58 @@ def _bit_size(q: Fraction) -> int:
     return q.numerator.bit_length() + q.denominator.bit_length()
 
 
+def _binomial_row(n: int) -> list[int]:
+    """C(n-1, k) for k = 0..n-1, each entry from the one before."""
+    row = [1]
+    for k in range(1, n):
+        row.append(row[-1] * (n - k) // k)
+    return row
+
+
+def _expand(lead: Fraction, lead_exp: int, factors: list[Fraction],
+            exponents: list[int]) -> tuple[Fraction, Fraction]:
+    """lead**lead_exp * prod(factor**exponent), and that over the canonical
+    ratio: the one place a factored value is expanded. A zero factor gives 0
+    before any size estimate, power or division; otherwise the bit lengths of
+    the unreduced products are summed first, and above MAX_CLOSED_FORM_BITS
+    the call raises MatrixSizeError."""
+    if not all(factors):
+        return Fraction(0), Fraction(0)
+    bits = lead_exp * _bit_size(lead)
+    for value, exponent in zip(factors, exponents):
+        bits += exponent * _bit_size(value)
+    if bits > MAX_CLOSED_FORM_BITS:
+        raise MatrixSizeError(
+            f"closed form would expand to about {bits} bits "
+            f"(limit {MAX_CLOSED_FORM_BITS})")
+    num, den = lead.numerator ** lead_exp, lead.denominator ** lead_exp
+    for value, exponent in zip(factors, exponents):
+        num *= value.numerator ** exponent
+        den *= value.denominator ** exponent
+    total = Fraction(num, den)
+    return total, total / formula_to_canonical_ratio(len(factors))
+
+
 def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:
     """Evaluate the factored formula; total on every stratum.
 
     The b3 prefactor exponent (n-3)*2^(n-1) uses the 0**0 = 1 convention at
-    n = 3, where the prefactor is absent from the factored form. A vanishing
-    factor gives 0 without expanding the rest; otherwise the size of the
-    expansion is estimated from the factors' bit lengths first, and above
-    MAX_CLOSED_FORM_BITS the call raises MatrixSizeError.
+    n = 3, where the prefactor is absent from the factored form; b3 = 0 makes
+    factor 0 vanish, so the factors decide. Vanishing cubics are answered at
+    any n; the rest raise MatrixSizeError above MAX_CLOSED_FORM_BITS.
     """
-    n = sc.n
-    bp = sc.normalized_coeffs()
-    prefactor_exp = (n - 3) * 2 ** (n - 1)
-    factors = []
-    vanishes = False  # b3 = 0 makes factor 0 vanish, so the factors decide
-    bits = prefactor_exp * _bit_size(bp.b3)
-    for k in range(n):
-        value = closed_form_factor(bp, n, k)
-        exponent = math.comb(n - 1, k)
-        factors.append(ReportFactor(k=k, value=value, exponent=exponent))
-        vanishes = vanishes or value == 0
-        bits += exponent * _bit_size(value)
-    if vanishes:
-        formula_value = canonical = Fraction(0)
-    else:
-        if bits > MAX_CLOSED_FORM_BITS:
-            raise MatrixSizeError(
-                f"closed form would expand to about {bits} bits "
-                f"(limit {MAX_CLOSED_FORM_BITS})")
-        formula_value = bp.b3 ** prefactor_exp
-        for f in factors:
-            formula_value *= f.value ** f.exponent
-        canonical = formula_value / formula_to_canonical_ratio(n)
-    return ResultantReport(
-        canonical_value=canonical,
-        formula_value=formula_value,
-        factors=tuple(factors),
-        vanishes=vanishes,
-    )
+    n, bp = sc.n, sc.normalized_coeffs()
+    exponents = _binomial_row(n)
+    values = [closed_form_factor(bp, n, k) for k in range(n)]
+    formula_value, canonical = _expand(bp.b3, (n - 3) * 2 ** (n - 1), values, exponents)
+    factors = tuple(map(ReportFactor, range(n), values, exponents))
+    return ResultantReport(canonical_value=canonical, formula_value=formula_value,
+                           factors=factors, vanishes=not formula_value)
+
+
+def _grouped_factors(rp: ReducedParams, n: int) -> list[Fraction]:
+    c = 1 + n * rp.a
+    return [c * c - rp.radicand * (n - 2 * k) ** 2 for k in range(n)]
 
 
 def grouped_product(rp: ReducedParams, n: int) -> Scalar:
@@ -132,16 +145,11 @@ def grouped_product(rp: ReducedParams, n: int) -> Scalar:
 
     The resultant is the product over the 2^n sign vectors e in {+1,-1}^n of
     1 + n*a + r*sum(e_j) with r^2 = a^2 - b. Pairing every sign vector with
-    its negation multiplies conjugates, giving
-    product over k = 0..n-1 of
-    [(1 + n*a)^2 - (a^2 - b)*(n-2k)^2] ** C(n-1, k);
+    its negation multiplies conjugates, giving the product over k = 0..n-1
+    of g_k ** C(n-1, k) with g_k = (1 + n*a)^2 - (a^2 - b)*(n-2k)^2;
     note the minus sign (conjugate pairs multiply to c^2 - r^2*m^2).
     """
-    c = 1 + n * rp.a
-    total = Fraction(1)
-    for k in range(n):
-        total *= (c * c - rp.radicand * (n - 2 * k) ** 2) ** math.comb(n - 1, k)
-    return total
+    return _expand(Fraction(1), 0, _grouped_factors(rp, n), _binomial_row(n))[0]
 
 
 def resultant_via_reduction(sc: SymmetricCubic) -> Scalar:
@@ -151,9 +159,13 @@ def resultant_via_reduction(sc: SymmetricCubic) -> Scalar:
     resultant of n quadratic forms picks up det(T)^(2^(n-1)) under linear
     combinations of the forms, so
     R{grad S} = grouped_product * (a3^(n-1)*d/2)^(2^(n-1)).
-    Raises TransformationUndefinedError where the reduction fails.
+    The scale spreads over the 2^(n-1) = sum C(n-1, k) factor slots: lead a3
+    to the power (n-3)*2^(n-1) and factors g_k*a3^2*d, the 1/2 per slot being
+    the canonical ratio. The lifted factors equal the closed form's Y_k, so
+    the chain refuses exactly what the closed form refuses. Raises
+    TransformationUndefinedError where the reduction fails.
     """
-    rp = sc.reduced_params()
-    n = sc.n
-    scale = (sc.a3 ** (n - 1) * rp.d / 2) ** (2 ** (n - 1))
-    return grouped_product(rp, n) * scale
+    rp, n = sc.reduced_params(), sc.n
+    lift = sc.a3 ** 2 * rp.d
+    factors = [g * lift for g in _grouped_factors(rp, n)]
+    return _expand(sc.a3, (n - 3) * 2 ** (n - 1), factors, _binomial_row(n))[1]

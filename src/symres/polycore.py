@@ -17,7 +17,9 @@ ScalarLike = Union[Scalar, int]
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse a rational from "num/den" or "num" (decimal strings)."""
+    """Parse a rational from "num/den" or "num" (ASCII decimal strings)."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII decimal rational: {text!r}")
     s = text.strip()
     if "/" in s:
         num, den = s.split("/", 1)
@@ -268,14 +270,6 @@ class MultiPoly:
         if f != 0:
             out.terms = {e: c * f for e, c in self.terms.items()}
         return out
-
-    def __pow__(self, exponent: int) -> "MultiPoly":
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        result = MultiPoly.constant(self.num_vars, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):

@@ -122,6 +122,26 @@ def test_closed_vanishing_at_large_n_is_answered(tmp_path, capsys):
     assert [f["exp"] for f in payload["factors"]] == [math.comb(39, k) for k in range(40)]
 
 
+def test_deep_json_is_malformed_input(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    proc = run_module("closed", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "error" in json.loads(proc.stderr)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-digit"])
+def test_closed_rejects_scalars_beyond_ascii_digits(tmp_path, capsys, text):
+    path = write_json(tmp_path, "c.json", dict(POWER_SUMS, A1=text))
+    code, out, err = run_cli(capsys, "closed", path)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_closed_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -164,6 +184,18 @@ def test_compare_chain_unavailable(tmp_path, capsys):
     assert payload["boxed"] == "0"
     assert payload["oracle"] == "0"
     assert payload["agree"] is True
+
+
+@pytest.mark.parametrize("n", [40, 10 ** 4])
+def test_compare_vanishing_at_large_n_is_answered(tmp_path, n):
+    # the chain expands through the closed form's kernel, so a vanishing
+    # factor answers it before any power is built
+    path = write_json(tmp_path, "s3.json", dict(PURE_S3, n=n))
+    proc = subprocess.run([sys.executable, "-m", "symres", "compare", path],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert (payload["boxed"], payload["chain"], payload["agree"]) == ("0", "0", True)
 
 
 def test_compare_without_oracle(tmp_path, capsys):

@@ -209,6 +209,42 @@ def test_reduction_chain_matches_closed_form_random():
         checked += 1
 
 
+def test_lifted_chain_factors_are_the_closed_form_factors():
+    # the chain spreads its scale (a3^(n-1)*d/2)^(2^(n-1)) over the 2^(n-1)
+    # factor slots; the lifted factors g_k*a3^2*d are exactly the closed
+    # form's Y_k, which is why the two routes share one size estimate
+    rng = random.Random(23)
+    checked = 0
+    while checked < 60:
+        sc = random_cubic(rng, 3 + checked % 6, denominators=True)
+        try:
+            rp = sc.reduced_params()
+        except TransformationUndefinedError:
+            continue
+        n, bp = sc.n, sc.normalized_coeffs()
+        c = 1 + n * rp.a
+        for k in range(n):
+            g = c * c - rp.radicand * (n - 2 * k) ** 2
+            assert g * sc.a3 ** 2 * rp.d == closed_form_factor(bp, n, k)
+        checked += 1
+
+
+def test_chain_and_closed_form_refuse_together():
+    power_sums_15 = SymmetricCubic(15, 1, -3, 3)
+    assert resultant_via_reduction(power_sums_15) == closed_form_resultant(
+        power_sums_15).canonical_value
+    for sc in (SymmetricCubic(16, 1, -3, 3), SymmetricCubic(4, 2 ** 210000, 0, 1)):
+        with pytest.raises(MatrixSizeError) as closed:
+            closed_form_resultant(sc)
+        with pytest.raises(MatrixSizeError) as chain:
+            resultant_via_reduction(sc)
+        assert str(chain.value) == str(closed.value)
+
+
+def test_reduction_chain_vanishing_at_large_n():
+    assert resultant_via_reduction(SymmetricCubic(10 ** 4, 0, 0, 1)) == 0
+
+
 def test_size_guard_is_estimated_from_the_factors():
     # power sums have every Y_k = 54 (6 + 1 bits of numerator and
     # denominator) and b3 = 3 (2 + 1 bits): the estimate is 2^14*(7 + 12*3)

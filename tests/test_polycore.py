@@ -90,7 +90,8 @@ def test_partial_index_errors():
 def test_eval_examples():
     ones = [Fraction(1)] * 3
     assert elem_sym(3, 3).eval(ones) == 1
-    s1_cubed = elem_sym(3, 1) ** 3
+    s1 = elem_sym(3, 1)
+    s1_cubed = s1 * s1 * s1
     assert s1_cubed.eval([Fraction(1), Fraction(-1), Fraction(0)]) == 0
     p = MultiPoly(2, {(2, 0): 1, (0, 1): 1})
     assert p.eval([Fraction(1, 2), Fraction(1, 4)]) == Fraction(1, 2)
@@ -180,6 +181,17 @@ def test_scalar_string_round_trip():
     values += [Fraction(0), Fraction(-1), Fraction(10**40, 7)]
     for v in values:
         assert parse_scalar(format_scalar(v)) == v
+
+
+def test_scalar_syntax_is_ascii_decimal():
+    # a sign, surrounding spaces and a signed denominator are kept; digit
+    # separators and non-ASCII digits or spaces, which int() would read,
+    # are refused
+    assert parse_scalar("+3") == parse_scalar(" 3 ") == 3
+    assert parse_scalar("1/-2") == Fraction(-1, 2)
+    for text in ("1_0", "1/1_0", "\u0663", "\u00a03"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
 
 
 # -- ordering ---------------------------------------------------------------

@@ -111,7 +111,8 @@ def test_gradient_power_sums():
 
 
 def test_gradient_pure_s1_cubed():
-    three_s1_sq = (elem_sym(3, 1) ** 2) * 3
+    s1 = elem_sym(3, 1)
+    three_s1_sq = (s1 * s1) * 3
     assert SymmetricCubic(3, 1, 0, 0).gradient_system() == [three_s1_sq] * 3
 
 
