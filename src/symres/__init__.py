@@ -30,6 +30,7 @@ from .oracle import (
     MacaulaySystem,
     MatrixSizeError,
     RootWitness,
+    check_macaulay_size,
     det_bareiss,
     det_rational,
     macaulay_resultant,
@@ -44,7 +45,6 @@ from .polycore import (
     format_scalar,
     grevlex_key,
     monomials_of_degree,
-    parse_scalar,
 )
 from .symcubic import (
     NormalizedCoeffs,
@@ -71,6 +71,7 @@ __all__ = [
     "Scalar",
     "SymmetricCubic",
     "TransformationUndefinedError",
+    "check_macaulay_size",
     "closed_form_factor",
     "closed_form_resultant",
     "configuratrix_resultant",
@@ -86,7 +87,6 @@ __all__ = [
     "macaulay_resultant",
     "monomials_of_degree",
     "formula_to_canonical_ratio",
-    "parse_scalar",
     "resultant_via_reduction",
     "root_witness",
     "verify_witness",

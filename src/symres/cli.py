@@ -12,8 +12,9 @@ configuratrix   evaluate the configuratrix resultant at a momentum
 
 Exit codes: 0 success; 1 routes disagree (compare only); 2 malformed input;
 3 vanishing resultant (closed only); 4 resource guard tripped or memory
-exhausted. All numbers in JSON payloads are decimal strings so exactness
-survives any JSON parser.
+exhausted, or an answer too large to print. All numbers in JSON payloads
+are decimal strings so exactness survives any JSON parser. This module owns
+the wire format: every JSON read and write, and the scalar syntax.
 """
 from __future__ import annotations
 
@@ -23,16 +24,21 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .closedform import closed_form_resultant, resultant_via_reduction
+from .closedform import (
+    ResultantReport,
+    closed_form_resultant,
+    formula_to_canonical_ratio,
+    resultant_via_reduction,
+)
 from .finsler import MetricFunction, Momentum, configuratrix_resultant
 from .oracle import (
     MacaulaySystem,
-    MatrixSizeError,
     RootWitness,
+    check_macaulay_size,
     macaulay_resultant,
     root_witness,
 )
-from .polycore import format_scalar, parse_scalar
+from .polycore import MatrixSizeError, QuadExt
 from .symcubic import SymmetricCubic, TransformationUndefinedError
 
 EXIT_OK = 0
@@ -42,12 +48,51 @@ EXIT_GUARD = 4
 
 MAX_SWEEP_POINTS = 10 ** 6
 
+_ENCODER = json.JSONEncoder(default=str)
+
 
 def _read_json(path: Optional[str]):
     if path is None or path == "-":
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def parse_scalar(text: str) -> Fraction:
+    """Parse a rational from "num/den" or "num" (ASCII decimal strings)."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII decimal rational: {text!r}")
+    s = text.strip()
+    if "/" in s:
+        num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(num), int(den))
+    return Fraction(int(s))
+
+
+def read_cubic(data: dict) -> SymmetricCubic:
+    """The cubic of {"n": int, "A1": "rat", "A2": "rat", "A3": "rat"}."""
+    return SymmetricCubic(data["n"], *(parse_scalar(str(data[key]))
+                                       for key in ("A1", "A2", "A3")))
+
+
+def read_momentum(data: dict) -> Momentum:
+    """The momentum of {"y": ["rat", ...]}."""
+    values = data["y"]
+    if type(values) is not list:
+        raise ValueError(f"y must be a JSON list, got {values!r}")
+    return Momentum(tuple(parse_scalar(str(v)) for v in values))
+
+
+def json_line(payload) -> str:
+    """One JSON line; exact values (Fraction, QuadExt) print as their str():
+    "num", "num/den" or "p+q*r". A number past Python's int->str digit limit
+    is an answer too large to print, refused like any other size guard."""
+    try:
+        return _ENCODER.encode(payload) + "\n"
+    except ValueError as exc:
+        raise MatrixSizeError(f"answer too large to print: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -58,61 +103,63 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def report_json(report: ResultantReport) -> dict:
+    return {
+        "canonical": report.canonical_value,
+        "paper": report.formula_value,
+        "vanishes": report.vanishes,
+        "factors": [{"k": f.k, "Y": f.value, "exp": f.exponent} for f in report.factors],
+        "ratio": None if report.vanishes else formula_to_canonical_ratio(len(report.factors)),
+    }
+
+
 def witness_json(witness: Optional[RootWitness]) -> dict:
     if witness is None:
         return {"witness": None}
-    radicand = witness.radicand()
-    field = "rational" if radicand is None else f"quadratic(delta={format_scalar(radicand)})"
+    radicands = [x.radicand for x in witness.point if isinstance(x, QuadExt) and x.radical]
     pattern = None
     if witness.pattern is not None:
         k, t, u = witness.pattern
-        pattern = {"k": k, "t": str(t), "u": str(u)}
+        pattern = {"k": k, "t": t, "u": u}
     return {
         "pattern": pattern,
-        "point": [str(x) for x in witness.point],
-        "field": field,
+        "point": list(witness.point),
+        "field": f"quadratic(delta={radicands[0]})" if radicands else "rational",
     }
 
 
 def cmd_closed(args) -> int:
-    cubic = SymmetricCubic.from_json_dict(_read_json(args.input))
-    report = closed_form_resultant(cubic)
-    payload = report.to_json_dict()
+    report = closed_form_resultant(read_cubic(_read_json(args.input)))
+    payload = report_json(report)
     payload["value"] = payload["paper"] if args.paper_normalization else payload["canonical"]
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit(json_line(payload), args.out)
     return EXIT_VANISHES if report.vanishes else EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    cubic = SymmetricCubic.from_json_dict(_read_json(args.input))
+    cubic = read_cubic(_read_json(args.input))
+    if args.oracle:
+        check_macaulay_size((2,) * cubic.n)
     report = closed_form_resultant(cubic)
     values = [report.canonical_value]
     try:
-        chain_value = resultant_via_reduction(cubic)
-        chain_json = format_scalar(chain_value)
-        values.append(chain_value)
+        chain = resultant_via_reduction(cubic)
+        values.append(chain)
     except TransformationUndefinedError:
-        chain_json = "unavailable"
-    oracle_json = None
+        chain = "unavailable"
+    oracle = None
     if args.oracle:
-        oracle_value = macaulay_resultant(
-            MacaulaySystem.from_forms(cubic.gradient_system()))
-        oracle_json = format_scalar(oracle_value)
-        values.append(oracle_value)
+        oracle = macaulay_resultant(MacaulaySystem.from_forms(cubic.gradient_system()))
+        values.append(oracle)
     agree = all(v == values[0] for v in values)
-    payload = {
-        "boxed": format_scalar(report.canonical_value),
-        "chain": chain_json,
-        "oracle": oracle_json,
-        "agree": agree,
-    }
-    _emit(json.dumps(payload) + "\n", args.out)
+    payload = {"boxed": report.canonical_value, "chain": chain, "oracle": oracle, "agree": agree}
+    _emit(json_line(payload), args.out)
     return EXIT_OK if agree else 1
 
 
 def cmd_witness(args) -> int:
-    cubic = SymmetricCubic.from_json_dict(_read_json(args.input))
-    _emit(json.dumps(witness_json(root_witness(cubic))) + "\n", args.out)
+    cubic = read_cubic(_read_json(args.input))
+    _emit(json_line(witness_json(root_witness(cubic))), args.out)
     return EXIT_OK
 
 
@@ -138,9 +185,7 @@ def cmd_sweep(args) -> int:
     a2_start, a2_step, a2_count = _parse_range(spec["A2"])
     a3 = parse_scalar(str(spec["A3"]))
     if a1_count * a2_count > MAX_SWEEP_POINTS:
-        raise MatrixSizeError(
-            f"sweep grid has {a1_count * a2_count} points "
-            f"(limit {MAX_SWEEP_POINTS})")
+        raise MatrixSizeError(f"sweep grid has over {MAX_SWEEP_POINTS} points")
     a1_grid = [a1_start + i * a1_step for i in range(a1_count)]
     a2_grid = [a2_start + i * a2_step for i in range(a2_count)]
     lines = []
@@ -149,26 +194,18 @@ def cmd_sweep(args) -> int:
             if a1 == 0 and a2 == 0 and a3 == 0:
                 continue  # the zero polynomial has no resultant report
             report = closed_form_resultant(SymmetricCubic(n, a1, a2, a3))
-            lines.append(json.dumps({
-                "A1": format_scalar(a1),
-                "A2": format_scalar(a2),
-                "canonical": format_scalar(report.canonical_value),
-                "vanishes": report.vanishes,
-            }))
-    _emit("".join(line + "\n" for line in lines), args.out)
+            lines.append(json_line({"A1": a1, "A2": a2, "canonical": report.canonical_value,
+                                     "vanishes": report.vanishes}))
+    _emit("".join(lines), args.out)
     return EXIT_OK
 
 
 def cmd_configuratrix(args) -> int:
-    metric = MetricFunction(SymmetricCubic.from_json_dict(_read_json(args.metric)))
-    momentum = Momentum.from_json_dict(_read_json(args.momentum))
-    result = configuratrix_resultant(metric, momentum)
-    payload = {
-        "resultant": format_scalar(result.value),
-        "vanishes": result.vanishes,
-        "diagnostic": result.diagnostic,
-    }
-    _emit(json.dumps(payload) + "\n", args.out)
+    metric = MetricFunction(read_cubic(_read_json(args.metric)))
+    result = configuratrix_resultant(metric, read_momentum(_read_json(args.momentum)))
+    payload = {"resultant": result.value, "vanishes": result.vanishes,
+               "diagnostic": result.diagnostic}
+    _emit(json_line(payload), args.out)
     return EXIT_OK
 
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .oracle import MatrixSizeError
-from .polycore import Scalar, format_scalar
+from .polycore import MatrixSizeError, Scalar
 from .symcubic import NormalizedCoeffs, ReducedParams, SymmetricCubic
 
 #: Size budget for expanding the closed form, in bits of the unreduced
@@ -58,19 +57,6 @@ class ResultantReport:
     factors: tuple[ReportFactor, ...]
     vanishes: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "canonical": format_scalar(self.canonical_value),
-            "paper": format_scalar(self.formula_value),
-            "vanishes": self.vanishes,
-            "factors": [
-                {"k": f.k, "Y": format_scalar(f.value), "exp": f.exponent}
-                for f in self.factors
-            ],
-            "ratio": None if self.vanishes
-            else format_scalar(formula_to_canonical_ratio(len(self.factors))),
-        }
-
 
 def closed_form_factor(bp: NormalizedCoeffs, n: int, k: int) -> Scalar:
     """The k-th parenthesized factor of the factored resultant formula:
@@ -95,14 +81,17 @@ def _binomial_row(n: int) -> list[int]:
 
 
 def _expand(lead: Fraction, lead_exp: int, factors: list[Fraction],
-            exponents: list[int]) -> tuple[Fraction, Fraction]:
+            exponents: list[int] | None = None) -> tuple[Fraction, Fraction]:
     """lead**lead_exp * prod(factor**exponent), and that over the canonical
     ratio: the one place a factored value is expanded. A zero factor gives 0
-    before any size estimate, power or division; otherwise the bit lengths of
-    the unreduced products are summed first, and above MAX_CLOSED_FORM_BITS
-    the call raises MatrixSizeError."""
+    before any size estimate, power, division or exponent row (omitted
+    exponents are the binomial row, built only past that check); otherwise
+    the bit lengths of the unreduced products are summed first, and above
+    MAX_CLOSED_FORM_BITS the call raises MatrixSizeError."""
     if not all(factors):
         return Fraction(0), Fraction(0)
+    if exponents is None:
+        exponents = _binomial_row(len(factors))
     bits = lead_exp * _bit_size(lead)
     for value, exponent in zip(factors, exponents):
         bits += exponent * _bit_size(value)
@@ -149,7 +138,7 @@ def grouped_product(rp: ReducedParams, n: int) -> Scalar:
     of g_k ** C(n-1, k) with g_k = (1 + n*a)^2 - (a^2 - b)*(n-2k)^2;
     note the minus sign (conjugate pairs multiply to c^2 - r^2*m^2).
     """
-    return _expand(Fraction(1), 0, _grouped_factors(rp, n), _binomial_row(n))[0]
+    return _expand(Fraction(1), 0, _grouped_factors(rp, n))[0]
 
 
 def resultant_via_reduction(sc: SymmetricCubic) -> Scalar:
@@ -168,4 +157,4 @@ def resultant_via_reduction(sc: SymmetricCubic) -> Scalar:
     rp, n = sc.reduced_params(), sc.n
     lift = sc.a3 ** 2 * rp.d
     factors = [g * lift for g in _grouped_factors(rp, n)]
-    return _expand(sc.a3, (n - 3) * 2 ** (n - 1), factors, _binomial_row(n))[1]
+    return _expand(sc.a3, (n - 3) * 2 ** (n - 1), factors)[1]

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .closedform import ResultantReport, closed_form_resultant
-from .oracle import MacaulaySystem, MatrixSizeError, macaulay_resultant
-from .polycore import MultiPoly, Scalar, ScalarLike, parse_scalar
+from .oracle import MacaulaySystem, check_macaulay_size, macaulay_resultant
+from .polycore import MultiPoly, Scalar, ScalarLike
 from .symcubic import SymmetricCubic
 
 DEGENERATE_METRIC_IDENTICALLY_ZERO = "DEGENERATE_METRIC_IDENTICALLY_ZERO"
@@ -40,13 +40,6 @@ class Momentum:
     @classmethod
     def of(cls, values: Sequence[ScalarLike]) -> "Momentum":
         return cls(tuple(Fraction(v) for v in values))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Momentum":
-        values = data["y"]
-        if type(values) is not list:
-            raise ValueError(f"y must be a JSON list, got {values!r}")
-        return cls(tuple(parse_scalar(str(v)) for v in values))
 
 
 @dataclass(frozen=True)
@@ -93,19 +86,16 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResu
     when the metric is indicatrix-degenerate (by the Euler relation,
     3*S = sum x_i * dS/dx_i, a common zero of the gradients lies on S = 0),
     so that case short-circuits to 0 with a diagnostic instead of running an
-    exact determinant whose answer is forced.
+    exact determinant whose answer is forced. Systems over the oracle's
+    size budget (n >= 4) raise MatrixSizeError first, degenerate or not.
     """
-    n = m.s.n
-    if n > 3:
-        raise MatrixSizeError(
-            f"configuratrix resultant supported for n <= 3, got n = {n}")
+    degrees = (3,) + (2,) * m.s.n
+    check_macaulay_size(degrees)
     degenerate, _ = indicatrix_degenerate(m)
     if degenerate:
         return ConfiguratrixResult(
             value=Fraction(0), vanishes=True,
             diagnostic=DEGENERATE_METRIC_IDENTICALLY_ZERO)
-    system = MacaulaySystem(
-        forms=tuple(configuratrix_system(m, y)),
-        degrees=(3,) + (2,) * n)
+    system = MacaulaySystem(forms=tuple(configuratrix_system(m, y)), degrees=degrees)
     value = macaulay_resultant(system)
     return ConfiguratrixResult(value=value, vanishes=value == 0, diagnostic=None)

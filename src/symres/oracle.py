@@ -17,14 +17,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .polycore import MultiPoly, QuadExt, Scalar, monomials_of_degree
+from .polycore import MatrixSizeError, MultiPoly, QuadExt, Scalar, monomials_of_degree
 from .symcubic import SymmetricCubic
 
-MAX_MATRIX_ENTRIES = 10 ** 6
+#: Size budget for a Macaulay matrix, in entries.
+MAX_MATRIX_ENTRIES = 10 ** 5
 
 
-class MatrixSizeError(RuntimeError):
-    """The Macaulay matrix would exceed the exact-arithmetic size budget."""
+def check_macaulay_size(degrees: Sequence[int]) -> None:
+    """Refuse (MatrixSizeError) a Macaulay matrix over MAX_MATRIX_ENTRIES from
+    the degrees alone, before any form is built. Its size C(nu+n-1, j) at
+    j = min(n-1, nu) is counted up through j, where the binomials never
+    decrease, so the count stops once past the limit: a few steps at any n."""
+    n, nu = len(degrees), sum(d - 1 for d in degrees) + 1
+    count = 1
+    for j in range(1, min(n - 1, nu) + 1):
+        count = count * (nu + n - j) // j
+        if count * count > MAX_MATRIX_ENTRIES:
+            raise MatrixSizeError(f"Macaulay matrix would have at least {count}^2 "
+                                  f"entries (limit {MAX_MATRIX_ENTRIES})")
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +221,7 @@ def macaulay_resultant(system: MacaulaySystem) -> Scalar:
     forms = list(system.forms)
     degrees = list(system.degrees)
     n = len(forms)
-    nu = sum(d - 1 for d in degrees) + 1
-    ncols = math.comb(nu + n - 1, n - 1)
-    if ncols * ncols > MAX_MATRIX_ENTRIES:
-        raise MatrixSizeError(
-            f"Macaulay matrix would have {ncols}^2 entries "
-            f"(limit {MAX_MATRIX_ENTRIES})")
+    check_macaulay_size(degrees)
     matrix = _build_matrix(forms, n, degrees)
     value = _det_ratio(*matrix)
     if value is not None:
@@ -248,12 +254,6 @@ class RootWitness:
 
     point: tuple[Coordinate, ...]
     pattern: Optional[tuple[int, Coordinate, Coordinate]]
-
-    def radicand(self) -> Optional[Fraction]:
-        for x in self.point:
-            if isinstance(x, QuadExt) and x.radical != 0:
-                return x.radicand
-        return None
 
 
 def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:

@@ -16,17 +16,9 @@ Scalar = Fraction
 ScalarLike = Union[Scalar, int]
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse a rational from "num/den" or "num" (ASCII decimal strings)."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"not an ASCII decimal rational: {text!r}")
-    s = text.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+class MatrixSizeError(RuntimeError):
+    """A computation would exceed its exact-arithmetic size budget; defined
+    here, below every route, so each raises it without importing another."""
 
 
 def format_scalar(value: Scalar) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import MultiPoly, ScalarLike, elem_sym, format_scalar, parse_scalar
+from .polycore import MultiPoly, ScalarLike, elem_sym, format_scalar
 
 
 class TransformationUndefinedError(ValueError):
@@ -141,17 +141,6 @@ class SymmetricCubic:
                + Fraction((n - 1) * (n - 2), 6) * self.a3,
             b2=n * self.a2 + (n - 2) * self.a3,
             b3=self.a3,
-        )
-
-    # -- serialization ---------------------------------------------------------
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SymmetricCubic":
-        return cls(
-            data["n"],
-            parse_scalar(str(data["A1"])),
-            parse_scalar(str(data["A2"])),
-            parse_scalar(str(data["A3"])),
         )
 
 

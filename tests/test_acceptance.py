@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 
+from symres.cli import json_line, report_json
 from symres.closedform import (
     closed_form_resultant,
     grouped_product,
@@ -100,7 +101,7 @@ def test_criterion_2_normalization_pin():
             continue
         nonvanishing += 1
         assert report.formula_value == oracle * pinned[sc.n]
-        assert report.to_json_dict()["ratio"] == format_scalar(pinned[sc.n])
+        assert json.loads(json_line(report_json(report)))["ratio"] == format_scalar(pinned[sc.n])
     assert nonvanishing > 200
     print(f"ACCEPTANCE 2 normalization ratio 2^(2^(n-1)) "
           f"({nonvanishing} nonvanishing cases): PASS")

@@ -133,6 +133,26 @@ def test_deep_json_is_malformed_input(tmp_path):
     assert "error" in json.loads(proc.stderr)
 
 
+@pytest.mark.parametrize("command", ["closed", "compare"])
+def test_answer_too_large_to_print_is_a_guard_exit(tmp_path, command):
+    # the n = 14 power-sum value is inside the size budget but has more
+    # digits than Python prints: the input is valid, the answer too large
+    proc = run_module(command, write_json(tmp_path, "ps14.json", dict(POWER_SUMS, n=14)))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "error" in json.loads(proc.stderr)
+
+
+def test_input_integer_past_the_digit_limit_is_malformed(tmp_path, capsys):
+    path = write_json(tmp_path, "c.json", dict(POWER_SUMS, A1="1" + "0" * 5000))
+    code, out, err = run_cli(capsys, "closed", path)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 @pytest.mark.parametrize("text", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-digit"])
 def test_closed_rejects_scalars_beyond_ascii_digits(tmp_path, capsys, text):
     path = write_json(tmp_path, "c.json", dict(POWER_SUMS, A1=text))
@@ -198,6 +218,24 @@ def test_compare_vanishing_at_large_n_is_answered(tmp_path, n):
     assert (payload["boxed"], payload["chain"], payload["agree"]) == ("0", "0", True)
 
 
+@pytest.mark.parametrize("cubic", [dict(POWER_SUMS, n=6), dict(PURE_S3, n=300),
+                                   dict(PURE_S3, n=10 ** 6)],
+                         ids=["power-sums-n6", "s3-n300", "s3-n1e6"])
+def test_compare_oracle_size_is_refused_before_any_route(tmp_path, cubic):
+    # the Macaulay size is read from the degrees alone, so no closed form,
+    # chain or gradient form is built before the refusal
+    proc = subprocess.run(
+        [sys.executable, "-m", "symres", "compare", "--oracle",
+         write_json(tmp_path, "c.json", cubic)],
+        capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert len(proc.stderr) < 200
+    assert "error" in json.loads(proc.stderr)
+
+
 def test_compare_without_oracle(tmp_path, capsys):
     path = write_json(tmp_path, "ps.json", POWER_SUMS)
     code, out, _ = run_cli(capsys, "compare", path)
@@ -224,7 +262,7 @@ def test_witness_none_for_power_sums(tmp_path, capsys):
 
 
 def test_witness_s1_zero_for_n4(tmp_path, capsys):
-    from symres.polycore import parse_scalar
+    from symres.cli import parse_scalar
 
     path = write_json(tmp_path, "s1n4.json", {"n": 4, "A1": "1", "A2": "0", "A3": "0"})
     code, out, _ = run_cli(capsys, "witness", path)
@@ -335,6 +373,16 @@ def test_sweep_grid_guard_runs_before_allocation(tmp_path):
 
 def test_sweep_one_point_size_guard(tmp_path):
     spec = dict(SWEEP_3X3, n=40, A1={"start": "1", "stop": "1", "step": "1"},
+                A2={"start": "-3", "stop": "-3", "step": "1"}, A3="3")
+    proc = run_module("sweep", write_json(tmp_path, "grid.json", spec))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error" in json.loads(proc.stderr)
+
+
+def test_sweep_one_point_too_large_to_print(tmp_path):
+    spec = dict(SWEEP_3X3, n=14, A1={"start": "1", "stop": "1", "step": "1"},
                 A2={"start": "-3", "stop": "-3", "step": "1"}, A3="3")
     proc = run_module("sweep", write_json(tmp_path, "grid.json", spec))
     assert proc.returncode == 4

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import symres.closedform
+from symres.cli import json_line, report_json
 from symres.closedform import (
     MAX_CLOSED_FORM_BITS,
     closed_form_factor,
@@ -91,7 +93,7 @@ def test_report_pure_s3_vanishes():
     assert report.vanishes
     assert report.formula_value == 0
     assert report.canonical_value == 0
-    assert report.to_json_dict()["ratio"] is None
+    assert report_json(report)["ratio"] is None
 
 
 def test_report_pure_s1_cubed_vanishes():
@@ -127,8 +129,8 @@ def test_report_factor_structure():
 
 
 def test_report_json_schema():
-    data = closed_form_resultant(SymmetricCubic(3, 1, -3, 3)).to_json_dict()
-    parsed = json.loads(json.dumps(data))
+    data = report_json(closed_form_resultant(SymmetricCubic(3, 1, -3, 3)))
+    parsed = json.loads(json_line(data))
     assert parsed["canonical"] == "531441"
     assert parsed["paper"] == "8503056"
     assert parsed["ratio"] == "16"
@@ -243,6 +245,20 @@ def test_chain_and_closed_form_refuse_together():
 
 def test_reduction_chain_vanishing_at_large_n():
     assert resultant_via_reduction(SymmetricCubic(10 ** 4, 0, 0, 1)) == 0
+
+
+def test_exponent_row_is_built_only_where_needed(monkeypatch):
+    built = []
+    binomial_row = symres.closedform._binomial_row
+    monkeypatch.setattr(symres.closedform, "_binomial_row",
+                        lambda n: built.append(n) or binomial_row(n))
+    # a vanishing chain is answered by its zero factor, before any row
+    assert resultant_via_reduction(SymmetricCubic(50, 0, 0, 1)) == 0
+    assert built == []
+    # the closed form builds its row once, for the report
+    assert closed_form_resultant(SymmetricCubic(50, 0, 0, 1)).vanishes
+    assert closed_form_resultant(SymmetricCubic(5, 1, -3, 3)).factors[2].exponent == 6
+    assert built == [50, 5]
 
 
 def test_size_guard_is_estimated_from_the_factors():

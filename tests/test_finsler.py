@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import symres.finsler
 from symres.finsler import (
     DEGENERATE_METRIC_IDENTICALLY_ZERO,
     MetricFunction,
@@ -114,6 +115,18 @@ def test_configuratrix_dimension_guard():
     metric = MetricFunction(SymmetricCubic(4, 1, -3, 3))
     with pytest.raises(MatrixSizeError):
         configuratrix_resultant(metric, Momentum.of([1, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("cubic", [(1, -3, 3), (0, 0, 1)], ids=["generic", "degenerate"])
+def test_configuratrix_size_is_refused_before_anything_is_built(monkeypatch, cubic):
+    def unreachable(*args):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr(symres.finsler, "configuratrix_system", unreachable)
+    monkeypatch.setattr(symres.finsler, "indicatrix_degenerate", unreachable)
+    with pytest.raises(MatrixSizeError):
+        configuratrix_resultant(MetricFunction(SymmetricCubic(4, *cubic)),
+                                Momentum.of([1, 2, 3, 4]))
 
 
 def test_configuratrix_constructed_solvable_family():

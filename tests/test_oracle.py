@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,12 +8,14 @@ import pytest
 import symres.oracle
 from symres.finsler import MetricFunction, Momentum, configuratrix_system
 from symres.oracle import (
+    MAX_MATRIX_ENTRIES,
     MacaulaySystem,
     MatrixSizeError,
     RootWitness,
     _binary_quadratic_roots,
     _build_matrix,
     _pencil_value,
+    check_macaulay_size,
     det_bareiss,
     det_rational,
     macaulay_resultant,
@@ -113,6 +117,32 @@ def test_macaulay_size_guard():
     n = 7
     with pytest.raises(MatrixSizeError):
         macaulay_resultant(quadratic_anchor(n))
+
+
+def test_macaulay_size_rule_is_the_matrix_size():
+    # refused exactly when N^2 = C(nu + n - 1, n - 1)^2 passes the budget
+    for n in range(1, 8):
+        for degrees in itertools.combinations_with_replacement(range(1, 5), n):
+            nu = sum(d - 1 for d in degrees) + 1
+            over = math.comb(nu + n - 1, n - 1) ** 2 > MAX_MATRIX_ENTRIES
+            try:
+                check_macaulay_size(degrees)
+            except MatrixSizeError:
+                assert over, degrees
+            else:
+                assert not over, degrees
+
+
+def test_macaulay_size_rule_admits_what_the_routes_run():
+    # n = 5 gradients (210^2) and the n = 3 configuratrix (84^2) fit; n = 6
+    # gradients (792^2) and the n = 4 configuratrix (330^2) do not; n = 316
+    # linear forms (316^2) fit and n = 317 do not
+    for degrees in ((2,) * 5, (3, 2, 2, 2), (1,) * 316):
+        check_macaulay_size(degrees)
+    for degrees in ((2,) * 6, (3, 2, 2, 2, 2), (1,) * 317, (2,) * 10 ** 6):
+        with pytest.raises(MatrixSizeError) as refused:
+            check_macaulay_size(degrees)
+        assert len(str(refused.value)) < 100
 
 
 def test_macaulay_system_validation():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from symres.cli import parse_scalar
 from symres.polycore import (
     MultiPoly,
     QuadExt,
@@ -11,7 +12,6 @@ from symres.polycore import (
     format_scalar,
     grevlex_key,
     monomials_of_degree,
-    parse_scalar,
 )
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symres.cli import read_cubic
 from symres.polycore import MultiPoly, QuadExt, elem_sym
 from symres.symcubic import SymmetricCubic, TransformationUndefinedError, decompose
 
@@ -264,6 +265,6 @@ def test_b1_is_value_at_all_ones_over_n():
 
 def test_json_round_trip():
     data = {"n": 4, "A1": "1/3", "A2": "-5", "A3": "7/2"}
-    sc = SymmetricCubic.from_json_dict(data)
+    sc = read_cubic(data)
     assert sc == SymmetricCubic(4, Fraction(1, 3), Fraction(-5), Fraction(7, 2))
     assert repr(sc) == "SymmetricCubic(n=4, a1=1/3, a2=-5, a3=7/2)"
