@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence, Union
 
 from .polycore import MatrixSizeError, MultiPoly, QuadExt, Scalar, monomials_of_degree
@@ -42,11 +43,145 @@ def check_macaulay_size(degrees: Sequence[int]) -> None:
 # determinants
 
 def det_bareiss(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination.
+    """Determinant of an integer matrix on its block triangular form.
 
-    Intermediate entries are k x k minors of the input, so every division is
-    exact and growth stays polynomial instead of exponential.
+    A perfect matching on the nonzero pattern puts a nonzero entry on every
+    diagonal position after a row permutation; without one the determinant
+    is structurally zero and no arithmetic runs. The strongly connected
+    components of the matched pattern (Tarjan) order the permuted matrix
+    block upper triangular (Duff and Reid), so the determinant is the
+    matching's sign times the product of the diagonal blocks' determinants,
+    each by fraction-free Bareiss, smallest block first, stopping at the
+    first zero block.
     """
+    n = len(rows)
+    positions = range(n)
+    pattern = [list(compress(positions, row)) for row in rows]
+    row_of = _perfect_matching(rows, pattern)
+    if row_of is None:
+        return 0
+    value = _permutation_sign(row_of)
+    for block in sorted(_diagonal_blocks(pattern, row_of), key=len):
+        det = _bareiss([[rows[row_of[i]][j] for j in block] for i in block])
+        if det == 0:
+            return 0
+        value *= det
+    return value
+
+
+def _perfect_matching(rows, pattern) -> Optional[list[int]]:
+    """The row matched to each column, or None when the nonzero pattern has
+    no perfect matching. Nonzero diagonal entries are matched first; each
+    remaining row is matched by a depth-first augmenting path that first
+    looks ahead for a free column (Duff's MC21). The path is an explicit
+    stack, so its length is not bounded by the recursion limit."""
+    n = len(rows)
+    row_of = [i if rows[i][i] else -1 for i in range(n)]
+    col_of = row_of[:]
+    lookahead = [0] * n  # matched columns stay matched, so scans resume
+    seen = [-1] * n      # the root whose search last visited each column
+    for root in range(n):
+        if col_of[root] >= 0:
+            continue
+        path, nexts, free = [root], [0], -1
+        while path:
+            cols = pattern[path[-1]]
+            k = lookahead[path[-1]]
+            while k < len(cols) and row_of[cols[k]] >= 0:
+                k += 1
+            lookahead[path[-1]] = k
+            if k < len(cols):
+                free = cols[k]
+                break
+            k = nexts[-1]
+            while k < len(cols) and seen[cols[k]] == root:
+                k += 1
+            if k < len(cols):
+                seen[cols[k]] = root
+                nexts[-1] = k + 1
+                path.append(row_of[cols[k]])
+                nexts.append(0)
+            else:
+                path.pop()
+                nexts.pop()
+        if free < 0:
+            return None
+        for r in reversed(path):
+            col_of[r], free = free, col_of[r]
+            row_of[col_of[r]] = r
+    return row_of
+
+
+def _diagonal_blocks(pattern, row_of) -> list[list[int]]:
+    """Strongly connected components of the graph with an edge j -> k when
+    the row matched to column j has a nonzero in column k (Tarjan, with
+    explicit stacks). Each component is one diagonal block."""
+    n = len(pattern)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack, blocks, counter = [], [], 0
+    for start in range(n):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        on_stack[start] = True
+        work, nexts = [start], [0]
+        while work:
+            v = work[-1]
+            succ = pattern[row_of[v]]
+            k = nexts[-1]
+            if k < len(succ):
+                nexts[-1] = k + 1
+                w = succ[k]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append(w)
+                    nexts.append(0)
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            work.pop()
+            nexts.pop()
+            if work and low[v] < low[work[-1]]:
+                low[work[-1]] = low[v]
+            if low[v] == index[v]:
+                block = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    block.append(w)
+                    if w == v:
+                        break
+                blocks.append(block)
+    return blocks
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    """+1 or -1: the parity of n minus the number of cycles."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        j = perm[start]
+        seen[start] = True
+        while j != start:
+            seen[j] = True
+            j = perm[j]
+            sign = -sign
+    return sign
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a dense integer matrix by fraction-free Bareiss
+    elimination. Intermediate entries are k x k minors of the input, so
+    every division is exact and growth stays polynomial."""
     m = [row[:] for row in rows]
     n = len(m)
     if n == 0:

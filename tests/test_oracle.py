@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,145 @@ def test_det_rational_matches_expansion_random():
                 total += (-1) ** j * head * cofactor_det(minor)
             return total
         assert det_rational(m) == cofactor_det(m)
+
+
+def dense_det(rows):
+    """Reference determinant: fraction-free Bareiss on the unpermuted matrix,
+    as det_bareiss computed it before the block triangular form."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            factor = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def permutation_sign(perm):
+    return (-1) ** sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+
+
+def stratum_cubics(n):
+    """One cubic per stratum the oracle treats differently."""
+    b1_zero_a1 = -(Fraction(n * (n - 1), 2) * 2 + Fraction((n - 1) * (n - 2), 6) * 5) / (n * n)
+    return {
+        "generic": SymmetricCubic(n, 1, -2, 5),
+        "d0": SymmetricCubic(n, 1, 2 - n, n),          # 2*a3 = n*(a2 + a3)
+        "b1-zero": SymmetricCubic(n, b1_zero_a1, 2, 5),
+        "a1-zero": SymmetricCubic(n, 0, 2, 5),         # zero diagonal
+        "a3-zero": SymmetricCubic(n, 1, 2, 0),
+    }
+
+
+def macaulay_matrices(sc):
+    """The integer Macaulay matrix M and its minor M' of the gradient system."""
+    rows, _, non_reduced = _build_matrix(sc.gradient_system(), sc.n, [2] * sc.n)
+    return rows, [[rows[r][c] for c in non_reduced] for r in non_reduced]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("stratum", ["generic", "d0", "b1-zero", "a1-zero", "a3-zero"])
+def test_block_triangular_det_matches_dense_on_macaulay_strata(n, stratum):
+    sc = stratum_cubics(n)[stratum]
+    if stratum == "b1-zero":
+        assert sc.normalized_coeffs().b1 == 0
+    if stratum == "d0":
+        assert 2 * sc.a3 == n * (sc.a2 + sc.a3)
+    rng = random.Random(f"{stratum}-{n}")
+    for rows in macaulay_matrices(sc):
+        value = det_bareiss(rows)
+        assert value == dense_det(rows)
+        # a row and column permuted copy changes the value by both signs
+        size = len(rows)
+        p, q = rng.sample(range(size), size), rng.sample(range(size), size)
+        permuted = [[rows[p[i]][q[j]] for j in range(size)] for i in range(size)]
+        assert det_bareiss(permuted) == permutation_sign(p) * permutation_sign(q) * value
+
+
+def test_block_triangular_det_matches_dense_random_sparse():
+    rng = random.Random(60)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        density = rng.choice([0.1, 0.2, 0.35, 0.6, 1.0])
+        rows = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        assert det_bareiss(rows) == dense_det(rows)
+
+
+def test_structurally_singular_det_runs_no_arithmetic(monkeypatch):
+    # rows 0 and 1 only reach column 0: no perfect matching
+    def no_kernel(rows):
+        raise AssertionError("dense kernel called")
+
+    monkeypatch.setattr(symres.oracle, "_bareiss", no_kernel)
+    assert det_bareiss([[5, 0, 0], [7, 0, 0], [1, 2, 3]]) == 0
+    assert det_bareiss([[0, 0], [0, 0]]) == 0
+
+
+def test_block_triangular_det_stops_at_first_zero_block(monkeypatch):
+    # blocks {0, 1} and {2, 3, 4}: the smaller runs first, and when it is
+    # singular the larger never runs
+    sizes = []
+    kernel = symres.oracle._bareiss
+
+    def recorded(rows):
+        sizes.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(symres.oracle, "_bareiss", recorded)
+    tail = [[1, 0, 1, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]
+    assert det_bareiss([[1, 2, 0, 0, 0], [2, 4, 0, 0, 0]] + tail) == 0
+    assert sizes == [2]
+    sizes.clear()
+    assert det_bareiss([[1, 2, 0, 0, 0], [3, 4, 0, 0, 0]] + tail) == -4
+    assert sizes == [2, 3]
+
+
+def test_lower_bidiagonal_det_is_the_diagonal_product():
+    # 3,000 one-entry blocks: the graph search runs on explicit stacks
+    n = 3000
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 + i % 3
+        if i:
+            rows[i][i - 1] = 1
+    start = time.perf_counter()
+    value = det_bareiss(rows)
+    assert time.perf_counter() - start < 1.0
+    assert value == math.prod(2 + i % 3 for i in range(n))
+
+
+@pytest.mark.parametrize("n", [6, 3000])
+def test_det_whose_only_matching_needs_one_long_augmenting_path(n):
+    # rows 1..n-1 match their diagonal first; row 0 reaches only column 1,
+    # so its augmenting path shifts every row i to column i + 1 (mod n)
+    rows = [[0] * n for _ in range(n)]
+    rows[0][1] = 1
+    for i in range(1, n):
+        rows[i][i] = 1
+        rows[i][(i + 1) % n] = 2 + i % 3
+    value = det_bareiss(rows)
+    assert value == (-1) ** (n - 1) * math.prod(2 + i % 3 for i in range(1, n))
+    if n <= 12:
+        assert value == dense_det(rows)
 
 
 # -- Macaulay resultant ------------------------------------------------------------
