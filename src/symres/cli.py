@@ -39,7 +39,7 @@ from .oracle import (
     root_witness,
 )
 from .polycore import MatrixSizeError, QuadExt
-from .symcubic import SymmetricCubic, TransformationUndefinedError
+from .symcubic import SymmetricCubic, TransformationUndefinedError, check_dimension
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -179,8 +179,7 @@ def _parse_range(spec: dict) -> tuple[Fraction, Fraction, int]:
 def cmd_sweep(args) -> int:
     spec = _read_json(args.input)
     n = spec["n"]
-    if type(n) is not int:
-        raise ValueError(f"n must be a JSON integer, got {n!r}")
+    check_dimension(n)
     a1_start, a1_step, a1_count = _parse_range(spec["A1"])
     a2_start, a2_step, a2_count = _parse_range(spec["A2"])
     a3 = parse_scalar(str(spec["A3"]))

@@ -56,6 +56,11 @@ def indicatrix_degenerate(m: MetricFunction) -> tuple[bool, ResultantReport]:
     return report.vanishes, report
 
 
+def _check_momentum(m: MetricFunction, y: Momentum) -> None:
+    if len(y.y) != m.s.n:
+        raise ValueError(f"momentum has {len(y.y)} components, expected {m.s.n}")
+
+
 def configuratrix_system(m: MetricFunction, y: Momentum) -> list[MultiPoly]:
     """Homogenization of {S - 1, dS/dx_i - 3*y_i} with auxiliary variable x0.
 
@@ -63,8 +68,7 @@ def configuratrix_system(m: MetricFunction, y: Momentum) -> list[MultiPoly]:
     dS/dx_i - 3*y_i*x0^2 of degree 2.
     """
     n = m.s.n
-    if len(y.y) != n:
-        raise ValueError(f"momentum has {len(y.y)} components, expected {n}")
+    _check_momentum(m, y)
     nv = n + 1
 
     def lift(p: MultiPoly) -> MultiPoly:
@@ -87,10 +91,12 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResu
     3*S = sum x_i * dS/dx_i, a common zero of the gradients lies on S = 0),
     so that case short-circuits to 0 with a diagnostic instead of running an
     exact determinant whose answer is forced. Systems over the oracle's
-    size budget (n >= 4) raise MatrixSizeError first, degenerate or not.
+    size budget (n >= 4) raise MatrixSizeError first, then a momentum of the
+    wrong length raises ValueError, degenerate or not.
     """
     degrees = (3,) + (2,) * m.s.n
     check_macaulay_size(degrees)
+    _check_momentum(m, y)
     degenerate, _ = indicatrix_degenerate(m)
     if degenerate:
         return ConfiguratrixResult(

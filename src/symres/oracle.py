@@ -254,20 +254,29 @@ class MacaulaySystem:
         return cls(tuple(forms), tuple(degrees))
 
 
+def _integer_forms(forms, degrees):
+    """The terms {exponents: int} of each form times the lcm c_i of its
+    coefficient denominators, and the scale prod c_i^(e_i),
+    e_i = prod_{j != i} d_j, by which the integer forms' resultant exceeds
+    the given one: the resultant is homogeneous of degree e_i in the
+    coefficients of form i (Macaulay), and e_i is the number of rows of
+    form i that M' leaves out."""
+    total = math.prod(degrees)
+    cleared, scale = [], 1
+    for f, d in zip(forms, degrees):
+        lcm = math.lcm(*(c.denominator for c in f.terms.values()))
+        cleared.append({e: c.numerator * (lcm // c.denominator) for e, c in f.terms.items()})
+        scale *= lcm ** (total // d)
+    return cleared, scale
+
+
 def _build_matrix(forms, n, degrees):
-    """Integer Macaulay rows (column order), one denominator multiplier per
-    row, and the non-reduced column indices. Each row is a shifted copy of one
-    form, so that form's denominators are cleared once, by their lcm."""
+    """Macaulay rows (column order) of forms given as integer terms
+    {exponents: int}, and the non-reduced column indices."""
     nu = sum(d - 1 for d in degrees) + 1
     cols = monomials_of_degree(n, nu)
     col_index = {mono: i for i, mono in enumerate(cols)}
-    cleared = []
-    for f in forms:
-        lcm = math.lcm(*(c.denominator for c in f.terms.values()))
-        cleared.append((lcm, [(exps, c.numerator * (lcm // c.denominator))
-                              for exps, c in f.terms.items()]))
     rows = []
-    scales = []
     non_reduced = []
     for ci, beta in enumerate(cols):
         divisors = [i for i in range(n) if beta[i] >= degrees[i]]
@@ -276,65 +285,50 @@ def _build_matrix(forms, n, degrees):
         i = divisors[0]
         alpha = list(beta)
         alpha[i] -= degrees[i]
-        scale, terms = cleared[i]
         row = [0] * len(cols)
-        for exps, c in terms:
+        for exps, c in forms[i].items():
             row[col_index[tuple(a + b for a, b in zip(exps, alpha))]] = c
         rows.append(row)
-        scales.append(scale)
-    return rows, scales, non_reduced
+    return rows, non_reduced
 
 
-def _det_ratio(rows, scales, non_reduced) -> Optional[Fraction]:
-    """det(M)/det(M'), or None when the denominator minor vanishes. The
-    multipliers of the rows M' keeps cancel; the reduced rows' remain."""
+def _det_ratio(rows, non_reduced) -> Optional[Fraction]:
+    """det(M)/det(M'), or None when the denominator minor vanishes."""
     det_sub = det_bareiss([[rows[r][c] for c in non_reduced] for r in non_reduced])
     if det_sub == 0:
         return None
-    return Fraction(det_bareiss(rows) * math.prod(scales[r] for r in non_reduced),
-                    det_sub * math.prod(scales))
-
-
-class _Lcg:
-    """Tiny deterministic generator for fallback substitution matrices.
-
-    Self-contained so retry matrices are identical across platforms and
-    library versions.
-    """
-
-    def __init__(self, seed: int):
-        self.state = (seed * 0x9E3779B97F4A7C15 + 1) & (2 ** 64 - 1)
-
-    def small_entry(self) -> int:
-        self.state = (self.state * 6364136223846793005 + 1442695040888963407) & (2 ** 64 - 1)
-        return (self.state >> 33) % 5 - 2  # in {-2,...,2}
+    return Fraction(det_bareiss(rows), det_sub)
 
 
 def _substitution_matrix(seed: int, n: int) -> list[list[int]]:
-    gen = _Lcg(seed)
-    return [[gen.small_entry() for _ in range(n)] for _ in range(n)]
+    """Retry matrix, entries in -2..2, from a self-contained 64-bit LCG, so
+    it is identical across platforms and library versions."""
+    state = (seed * 0x9E3779B97F4A7C15 + 1) & (2 ** 64 - 1)
+    entries = []
+    for _ in range(n * n):
+        state = (state * 6364136223846793005 + 1442695040888963407) & (2 ** 64 - 1)
+        entries.append((state >> 33) % 5 - 2)
+    return [entries[i:i + n] for i in range(0, n * n, n)]
 
 
-def _pencil_value(rows, scales, non_reduced) -> Fraction:
+def _pencil_value(rows, non_reduced) -> Fraction:
     """Resultant via the diagonal pencil, for denominators that never unstick.
 
-    Adding t to the diagonal (t*multiplier on the integer rows) realizes the
-    deformed system {F_i + t*x_i^(d_i)}, whose resultant R(t) =
-    det(M+tI)/det(M'+tI) is a polynomial in t of degree D = N - N', the number
-    of reduced columns. R is sampled at t = 1, 2, ..., skipping the at most N'
-    roots of the monic det(M'+tI), and its D+1 samples are evaluated at t = 0
-    by Neville's scheme.
+    Adding t to every diagonal entry realizes the deformed system
+    {F_i + t*x_i^(d_i)}, whose resultant R(t) = det(M+tI)/det(M'+tI) is a
+    polynomial in t of degree D = N - N', the number of reduced columns. R is
+    sampled at t = 1, 2, ..., skipping the at most N' roots of the monic
+    det(M'+tI), and its D+1 samples are evaluated at t = 0 by Neville's
+    scheme.
     """
     degree = len(rows) - len(non_reduced)
-    ts = []
-    values = []
-    t = 0
+    shifted = [row[:] for row in rows]
+    ts, values, t = [], [], 0
     while len(ts) <= degree:
         t += 1
-        shifted = [row[:] for row in rows]
-        for r, scale in enumerate(scales):
-            shifted[r][r] += t * scale
-        value = _det_ratio(shifted, scales, non_reduced)
+        for r, row in enumerate(shifted):
+            row[r] += 1
+        value = _det_ratio(shifted, non_reduced)
         if value is not None:
             ts.append(t)
             values.append(value)
@@ -347,30 +341,31 @@ def _pencil_value(rows, scales, non_reduced) -> Fraction:
 def macaulay_resultant(system: MacaulaySystem) -> Scalar:
     """Macaulay-normalized resultant of the system, exact.
 
-    Strategy: direct determinant ratio; if the denominator minor vanishes,
-    retry under deterministic invertible substitutions x -> T*x (seeds 1..8,
-    entries in -2..2), dividing out det(T)^(d_1*...*d_n); if every retry is
-    stuck (positive-dimensional degenerations defeat all substitutions),
-    fall back to the diagonal pencil, which always resolves.
+    Strategy, on the integer forms: direct determinant ratio; if the
+    denominator minor vanishes, retry under deterministic invertible
+    substitutions x -> T*x (seeds 1..8, entries in -2..2), dividing out
+    det(T)^(d_1*...*d_n); if every retry is stuck (positive-dimensional
+    degenerations defeat all substitutions), fall back to the diagonal
+    pencil, which always resolves. The homogeneity scale is divided out last.
     """
-    forms = list(system.forms)
     degrees = list(system.degrees)
-    n = len(forms)
+    n = len(degrees)
     check_macaulay_size(degrees)
+    forms, scale = _integer_forms(system.forms, degrees)
     matrix = _build_matrix(forms, n, degrees)
     value = _det_ratio(*matrix)
     if value is not None:
-        return value
+        return value / scale
     for s in range(1, 9):
         transform = _substitution_matrix(s, n)
         det_t = det_bareiss(transform)
         if det_t == 0:
             continue
-        substituted = [f.substitute_linear(transform) for f in forms]
-        value = _det_ratio(*_build_matrix(substituted, n, degrees))
+        substituted = [MultiPoly(n, f).substitute_linear(transform) for f in forms]
+        value = _det_ratio(*_build_matrix(_integer_forms(substituted, degrees)[0], n, degrees))
         if value is not None:
-            return value / det_t ** math.prod(degrees)
-    return _pencil_value(*matrix)
+            return value / (scale * det_t ** math.prod(degrees))
+    return _pencil_value(*matrix) / scale
 
 
 # ---------------------------------------------------------------------------

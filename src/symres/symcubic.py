@@ -48,16 +48,22 @@ class NormalizedCoeffs:
     b3: Fraction
 
 
+def check_dimension(n) -> None:
+    """The one rule on n: an int (so a JSON integer, not a float, string or
+    bool), at least 3, since the s-basis is not faithful below 3."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n} (the s-basis is not faithful below 3)")
+
+
 class SymmetricCubic:
     """The triple (a1, a2, a3) plus dimension n representing a1*s1^3 + a2*s1*s2 + a3*s3."""
 
     __slots__ = ("n", "a1", "a2", "a3")
 
     def __init__(self, n: int, a1: ScalarLike, a2: ScalarLike, a3: ScalarLike):
-        if type(n) is not int:
-            raise ValueError(f"n must be an integer, got {n!r}")
-        if n < 3:
-            raise ValueError(f"n must be >= 3, got {n} (the s-basis is not faithful below 3)")
+        check_dimension(n)
         self.n = n
         self.a1 = Fraction(a1)
         self.a2 = Fraction(a2)

@@ -323,6 +323,17 @@ def test_sweep_row_major_order(tmp_path, capsys):
     assert pairs == [(a1, a2) for a1 in ("-1", "0", "1") for a2 in ("-1", "0", "1")]
 
 
+@pytest.mark.parametrize("n", [2, -7])
+def test_sweep_rejects_small_n_on_an_all_zero_grid(tmp_path, capsys, n):
+    # every point is the zero polynomial, so no cubic is built; n is still checked
+    zero = {"start": "0", "stop": "0", "step": "1"}
+    path = write_json(tmp_path, "grid.json", {"n": n, "A1": zero, "A2": zero, "A3": "0"})
+    code, out, err = run_cli(capsys, "sweep", path)
+    assert code == 2
+    assert out == ""
+    assert "n must be >= 3" in json.loads(err)["error"]
+
+
 def test_sweep_zero_step_rejected(tmp_path, capsys):
     spec = dict(SWEEP_3X3, A1={"start": "0", "stop": "1", "step": "0"})
     path = write_json(tmp_path, "grid.json", spec)
@@ -445,6 +456,16 @@ def test_configuratrix_rejects_momentum_not_a_list(tmp_path, capsys, y):
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("cubic", [PURE_S3, POWER_SUMS], ids=["degenerate", "power-sums"])
+def test_configuratrix_rejects_momentum_of_wrong_length(tmp_path, capsys, cubic):
+    metric = write_json(tmp_path, "m.json", cubic)
+    momentum = write_json(tmp_path, "y.json", {"y": ["1", "2"]})
+    code, out, err = run_cli(capsys, "configuratrix", metric, momentum)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "momentum has 2 components, expected 3"}
 
 
 def test_configuratrix_dimension_guard(tmp_path, capsys):

@@ -80,6 +80,14 @@ def test_configuratrix_momentum_length_check():
         configuratrix_system(POWER_SUM_METRIC, Momentum.of([1, 0]))
 
 
+@pytest.mark.parametrize("metric", [PRODUCT_METRIC, POWER_SUM_METRIC],
+                         ids=["degenerate", "power-sums"])
+def test_configuratrix_resultant_momentum_length_check(metric):
+    # the degenerate shortcut answers only a well-formed question
+    with pytest.raises(ValueError, match="momentum has 2 components, expected 3"):
+        configuratrix_resultant(metric, Momentum.of([1, 2]))
+
+
 # -- configuratrix resultant ---------------------------------------------------
 
 def test_configuratrix_attainable_momentum_vanishes():

@@ -1,9 +1,14 @@
-"""Module ownership, read from the sources: the CLI owns the wire format, and
-the closed form stays independent of the oracle that checks it."""
+"""Module ownership, read from the sources: the CLI owns the wire format, the
+closed form stays independent of the oracle that checks it, and every name
+the benchmark's tracer binds exists."""
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import symres.oracle
+from symres.polycore import MultiPoly
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symres"
 
@@ -36,3 +41,22 @@ def test_library_import_leaves_the_cli_unloaded():
         [sys.executable, "-c", "import sys, symres; print('symres.cli' in sys.modules)"],
         capture_output=True, text=True, timeout=20)
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_perfbench_tracer_binds_every_name_it_traces(monkeypatch):
+    # the benchmark's tracer looks up public functions and methods by name;
+    # installing it fails on a renamed or deleted one. Loading it writes no
+    # bytecode next to it.
+    path = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    originals = symres.oracle.det_bareiss, MultiPoly.__dict__["substitute_linear"]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert symres.oracle.det_bareiss is not originals[0]
+    finally:
+        tracer.uninstall()
+    assert (symres.oracle.det_bareiss, MultiPoly.__dict__["substitute_linear"]) == originals

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from symres.oracle import (
     RootWitness,
     _binary_quadratic_roots,
     _build_matrix,
+    _integer_forms,
     _pencil_value,
     check_macaulay_size,
     det_bareiss,
@@ -128,7 +130,8 @@ def stratum_cubics(n):
 
 def macaulay_matrices(sc):
     """The integer Macaulay matrix M and its minor M' of the gradient system."""
-    rows, _, non_reduced = _build_matrix(sc.gradient_system(), sc.n, [2] * sc.n)
+    forms, _ = _integer_forms(sc.gradient_system(), [2] * sc.n)
+    rows, non_reduced = _build_matrix(forms, sc.n, [2] * sc.n)
     return rows, [[rows[r][c] for c in non_reduced] for r in non_reduced]
 
 
@@ -347,14 +350,15 @@ def test_macaulay_pencil_matches_closed_form_random():
     for _ in range(10):
         sc = SymmetricCubic(3, *(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                  for _ in range(3)))
-        values.append(_pencil_value(*_build_matrix(sc.gradient_system(), 3, [2, 2, 2])))
+        forms, scale = _integer_forms(sc.gradient_system(), [2, 2, 2])
+        values.append(_pencil_value(*_build_matrix(forms, 3, [2, 2, 2])) / scale)
         assert values[-1] == closed_form_resultant(sc).canonical_value
     assert sum(1 for v in values if v != 0) >= 8
 
 
 def test_macaulay_pencil_matches_sylvester_mixed_degrees():
-    # forms with different denominators get different row multipliers, so
-    # the rows of each form take their own diagonal shift t*multiplier
+    # forms with different denominators and degrees get different lcms and
+    # homogeneity exponents in the scale
     rng = random.Random(59)
     for _ in range(10):
         degrees = (rng.randint(1, 3), rng.randint(1, 3))
@@ -363,7 +367,8 @@ def test_macaulay_pencil_matches_sylvester_mixed_degrees():
             den = rng.randint(2, 5)
             forms.append(MultiPoly(2, {(d - i, i): Fraction(rng.randint(1, 9), den)
                                        for i in range(d + 1)}))
-        value = _pencil_value(*_build_matrix(forms, 2, list(degrees)))
+        cleared, scale = _integer_forms(forms, list(degrees))
+        value = _pencil_value(*_build_matrix(cleared, 2, list(degrees))) / scale
         assert value == sylvester_resultant(*forms)
 
 
@@ -393,6 +398,55 @@ def test_macaulay_strategy_pins(monkeypatch, forms, degrees, value, substitution
     monkeypatch.setattr(symres.oracle, "_pencil_value", counted_pencil)
     assert macaulay_resultant(MacaulaySystem(tuple(forms), degrees)) == value
     assert calls == {"substitute_linear": substitutions, "pencil": pencil}
+
+
+RATIONAL_DIRECT = SymmetricCubic(3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
+RATIONAL_ONE_SEED = SymmetricCubic(3, 0, Fraction(1, 2), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("forms, degrees, value, substitutions", [
+    (RATIONAL_DIRECT.gradient_system(), (2, 2, 2),
+     closed_form_resultant(RATIONAL_DIRECT).canonical_value, 0),
+    (RATIONAL_ONE_SEED.gradient_system(), (2, 2, 2),
+     closed_form_resultant(RATIONAL_ONE_SEED).canonical_value, 3),
+    # form lcms 3 (the cubic), 2, 5 and 4 (the quadrics)
+    (configuratrix_system(MetricFunction(SymmetricCubic(3, Fraction(1, 3), -3, 3)),
+                          Momentum.of([Fraction(1, 2), Fraction(1, 5), Fraction(1, 4)])),
+     (3, 2, 2, 2), Fraction(-2308066242121298146241181231, 6553600000000), 0),
+], ids=["direct", "one-seed", "configuratrix"])
+def test_macaulay_homogeneity_scale_pins(monkeypatch, forms, degrees, value, substitutions):
+    # rational forms, so the scale prod c_i^(e_i) is not 1 on either path
+    calls = []
+    substitute_linear = MultiPoly.substitute_linear
+
+    def counted_substitute(self, matrix):
+        calls.append(matrix)
+        return substitute_linear(self, matrix)
+
+    monkeypatch.setattr(MultiPoly, "substitute_linear", counted_substitute)
+    assert value != 0
+    assert macaulay_resultant(MacaulaySystem(tuple(forms), degrees)) == value
+    assert len(calls) == substitutions
+    assert _integer_forms(forms, list(degrees))[1] > 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_homogeneity_exponent_counts_reduced_rows(n):
+    # form i has prod_{j != i} d_j reduced rows (those M' leaves out), the
+    # exponent of its lcm in the scale
+    primes = (2, 3, 5, 7)
+    for degrees in itertools.product((1, 2, 3), repeat=n):
+        powers = [tuple(d if j == i else 0 for j in range(n)) for i, d in enumerate(degrees)]
+        rows, non_reduced = _build_matrix([{e: p} for e, p in zip(powers, primes)],
+                                          n, list(degrees))
+        reduced = collections.Counter(rows[r][r] for r in set(range(len(rows))) - set(non_reduced))
+        total = math.prod(degrees)
+        assert reduced == {p: total // d for p, d in zip(primes, degrees)}
+        forms = [MultiPoly(n, {e: Fraction(1, p)}) for e, p in zip(powers, primes)]
+        cleared, scale = _integer_forms(forms, list(degrees))
+        assert cleared == [{e: 1} for e in powers]
+        assert scale == math.prod(p ** k for p, k in reduced.items())
+        assert macaulay_resultant(MacaulaySystem(tuple(forms), degrees)) == Fraction(1, scale)
 
 
 # -- Sylvester cross-check ------------------------------------------------------------
