@@ -13,7 +13,6 @@ from .closedform import (
     ResultantReport,
     closed_form_factor,
     closed_form_resultant,
-    grouped_product,
     formula_to_canonical_ratio,
     resultant_via_reduction,
 )
@@ -42,7 +41,6 @@ from .polycore import (
     QuadExt,
     Scalar,
     elem_sym,
-    format_scalar,
     grevlex_key,
     monomials_of_degree,
 )
@@ -80,9 +78,7 @@ __all__ = [
     "det_bareiss",
     "det_rational",
     "elem_sym",
-    "format_scalar",
     "grevlex_key",
-    "grouped_product",
     "indicatrix_degenerate",
     "macaulay_resultant",
     "monomials_of_degree",

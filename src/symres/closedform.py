@@ -7,8 +7,8 @@ Two routes live here, expanded through one kernel under one size budget:
   strata where the reduction is undefined.
 * ``resultant_via_reduction`` runs the derivation chain: reduce to
   F_i = x_i^2 + 2a*x_i*s1 + b*s1^2, take the sign-vector (Poisson) product
-  in its grouped rational form ``grouped_product``, and undo the linear
-  transformation's determinant scaling.
+  in its grouped rational form (the factors ``_grouped_factors``), and undo
+  the linear transformation's determinant scaling.
 
 Two normalizations appear. The canonical one pins R{x_1^2,...,x_n^2} = 1
 (the Macaulay convention, and this library's ground truth); the raw factored
@@ -125,12 +125,7 @@ def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:
 
 
 def _grouped_factors(rp: ReducedParams, n: int) -> list[Fraction]:
-    c = 1 + n * rp.a
-    return [c * c - rp.radicand * (n - 2 * k) ** 2 for k in range(n)]
-
-
-def grouped_product(rp: ReducedParams, n: int) -> Scalar:
-    """Resultant of the reduced system, as a rational product.
+    """Factors g_k of the reduced system's resultant, a rational product.
 
     The resultant is the product over the 2^n sign vectors e in {+1,-1}^n of
     1 + n*a + r*sum(e_j) with r^2 = a^2 - b. Pairing every sign vector with
@@ -138,7 +133,8 @@ def grouped_product(rp: ReducedParams, n: int) -> Scalar:
     of g_k ** C(n-1, k) with g_k = (1 + n*a)^2 - (a^2 - b)*(n-2k)^2;
     note the minus sign (conjugate pairs multiply to c^2 - r^2*m^2).
     """
-    return _expand(Fraction(1), 0, _grouped_factors(rp, n))[0]
+    c = 1 + n * rp.a
+    return [c * c - rp.radicand * (n - 2 * k) ** 2 for k in range(n)]
 
 
 def resultant_via_reduction(sc: SymmetricCubic) -> Scalar:
@@ -147,7 +143,7 @@ def resultant_via_reduction(sc: SymmetricCubic) -> Scalar:
     The reduction F = T * grad(S) has det(T) = 2/(a3^(n-1)*d), and the
     resultant of n quadratic forms picks up det(T)^(2^(n-1)) under linear
     combinations of the forms, so
-    R{grad S} = grouped_product * (a3^(n-1)*d/2)^(2^(n-1)).
+    R{grad S} = prod g_k^C(n-1, k) * (a3^(n-1)*d/2)^(2^(n-1)).
     The scale spreads over the 2^(n-1) = sum C(n-1, k) factor slots: lead a3
     to the power (n-3)*2^(n-1) and factors g_k*a3^2*d, the 1/2 per slot being
     the canonical ratio. The lifted factors equal the closed form's Y_k, so

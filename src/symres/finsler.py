@@ -90,13 +90,13 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResu
     when the metric is indicatrix-degenerate (by the Euler relation,
     3*S = sum x_i * dS/dx_i, a common zero of the gradients lies on S = 0),
     so that case short-circuits to 0 with a diagnostic instead of running an
-    exact determinant whose answer is forced. Systems over the oracle's
-    size budget (n >= 4) raise MatrixSizeError first, then a momentum of the
-    wrong length raises ValueError, degenerate or not.
+    exact determinant whose answer is forced. A momentum of the wrong length
+    raises ValueError first, degenerate or not; then systems over the
+    oracle's size budget (n >= 4) raise MatrixSizeError.
     """
+    _check_momentum(m, y)
     degrees = (3,) + (2,) * m.s.n
     check_macaulay_size(degrees)
-    _check_momentum(m, y)
     degenerate, _ = indicatrix_degenerate(m)
     if degenerate:
         return ConfiguratrixResult(

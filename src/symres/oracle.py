@@ -214,9 +214,7 @@ def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = 1
     int_rows = []
     for row in rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in row))
         scale *= lcm
         int_rows.append([int(x * lcm) for x in row])
     return Fraction(det_bareiss(int_rows), scale)

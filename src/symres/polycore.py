@@ -21,13 +21,6 @@ class MatrixSizeError(RuntimeError):
     here, below every route, so each raises it without importing another."""
 
 
-def format_scalar(value: Scalar) -> str:
-    """Render a rational as "num/den", or just "num" when integral."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def grevlex_key(exps: tuple[int, ...]) -> tuple:
     """Sort key realizing graded reverse-lexicographic order (ascending).
 
@@ -117,19 +110,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "QuadExt":
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        result = QuadExt.lift(1, self.radicand)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.rational, -self.radical, self.radicand)
 
@@ -152,12 +132,9 @@ class QuadExt:
 
     def __str__(self) -> str:
         if self.radical == 0:
-            return format_scalar(self.rational)
-        b = format_scalar(self.radical)
+            return str(self.rational)
         sign = "-" if self.radical < 0 else "+"
-        if self.radical < 0:
-            b = format_scalar(-self.radical)
-        return f"{format_scalar(self.rational)}{sign}{b}*r"
+        return f"{self.rational}{sign}{abs(self.radical)}*r"
 
 
 class MultiPoly:
@@ -293,28 +270,11 @@ class MultiPoly:
         """Terms in canonical order: descending grevlex."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def partial(self, index: int) -> "MultiPoly":
-        """Formal partial derivative with respect to variable `index` (0-based)."""
-        if not 0 <= index < self.num_vars:
-            raise ValueError(f"variable index {index} out of range for {self.num_vars} variables")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            lowered = list(exps)
-            lowered[index] = e - 1
-            out[tuple(lowered)] = c * e
-        p = MultiPoly.zero(self.num_vars)
-        p.terms = out
-        return p
-
     def eval(self, point):
         """Exact value at a point of Scalars (or QuadExt values).
 
-        Accepts any sequence whose elements support +, * and ** with
-        Fractions, so plain rationals and quadratic-extension coordinates
-        both work.
+        Accepts any sequence whose elements support + and * with Fractions,
+        so plain rationals and quadratic-extension coordinates both work.
         """
         if len(point) != self.num_vars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.num_vars}")
@@ -322,8 +282,8 @@ class MultiPoly:
         for exps, c in self.terms.items():
             term = c
             for x, e in zip(point, exps):
-                if e:
-                    term = term * x**e
+                for _ in range(e):
+                    term = term * x
             total = term if total is None else total + term
         if total is None:
             return Fraction(0)
@@ -366,11 +326,10 @@ class MultiPoly:
             mono = "*".join(
                 f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exps) if e)
-            coeff = format_scalar(c)
             if mono:
-                parts.append(mono if c == 1 else f"{coeff}*{mono}" if c != -1 else f"-{mono}")
+                parts.append(mono if c == 1 else f"{c}*{mono}" if c != -1 else f"-{mono}")
             else:
-                parts.append(coeff)
+                parts.append(str(c))
         return " + ".join(parts).replace("+ -", "- ")
 
 

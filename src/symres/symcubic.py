@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import MultiPoly, ScalarLike, elem_sym, format_scalar
+from .polycore import MultiPoly, ScalarLike, elem_sym
 
 
 class TransformationUndefinedError(ValueError):
@@ -80,8 +80,7 @@ class SymmetricCubic:
         return hash((self.n, self.a1, self.a2, self.a3))
 
     def __repr__(self) -> str:
-        return (f"SymmetricCubic(n={self.n}, a1={format_scalar(self.a1)}, "
-                f"a2={format_scalar(self.a2)}, a3={format_scalar(self.a3)})")
+        return f"SymmetricCubic(n={self.n}, a1={self.a1}, a2={self.a2}, a3={self.a3})"
 
     # -- polynomial views ----------------------------------------------------
 
@@ -118,7 +117,7 @@ class SymmetricCubic:
         d = 2 * self.a3 - n * (self.a2 + self.a3)
         if self.a3 == 0 or d == 0:
             raise TransformationUndefinedError(
-                f"reduction undefined: a3={format_scalar(self.a3)}, d={format_scalar(d)}")
+                f"reduction undefined: a3={self.a3}, d={d}")
         a = Fraction(-(self.a2 + self.a3), 1) / (2 * self.a3)
         b = (6 * self.a1 * self.a3 + self.a2 * self.a3 - self.a2 ** 2) / (self.a3 * d)
         return ReducedParams(a=a, b=b, d=d, radicand=a * a - b)

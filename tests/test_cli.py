@@ -458,14 +458,16 @@ def test_configuratrix_rejects_momentum_not_a_list(tmp_path, capsys, y):
     assert "error" in json.loads(err)
 
 
-@pytest.mark.parametrize("cubic", [PURE_S3, POWER_SUMS], ids=["degenerate", "power-sums"])
+@pytest.mark.parametrize("cubic", [PURE_S3, POWER_SUMS, dict(POWER_SUMS, n=4)],
+                         ids=["degenerate", "power-sums", "power-sums-n4"])
 def test_configuratrix_rejects_momentum_of_wrong_length(tmp_path, capsys, cubic):
+    # malformed input exits 2 before the size rule, which refuses n = 4 with 4
     metric = write_json(tmp_path, "m.json", cubic)
     momentum = write_json(tmp_path, "y.json", {"y": ["1", "2"]})
     code, out, err = run_cli(capsys, "configuratrix", metric, momentum)
     assert code == 2
     assert out == ""
-    assert json.loads(err) == {"error": "momentum has 2 components, expected 3"}
+    assert json.loads(err) == {"error": f"momentum has 2 components, expected {cubic['n']}"}
 
 
 def test_configuratrix_dimension_guard(tmp_path, capsys):

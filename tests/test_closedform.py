@@ -11,13 +11,12 @@ from symres.closedform import (
     MAX_CLOSED_FORM_BITS,
     closed_form_factor,
     closed_form_resultant,
-    grouped_product,
     resultant_via_reduction,
 )
 from symres.oracle import MatrixSizeError
 from symres.symcubic import ReducedParams, SymmetricCubic, TransformationUndefinedError
 
-from test_acceptance import sign_vector_product
+from test_acceptance import grouped_product, sign_vector_product
 from test_symcubic import random_cubic
 
 

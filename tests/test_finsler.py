@@ -80,11 +80,13 @@ def test_configuratrix_momentum_length_check():
         configuratrix_system(POWER_SUM_METRIC, Momentum.of([1, 0]))
 
 
-@pytest.mark.parametrize("metric", [PRODUCT_METRIC, POWER_SUM_METRIC],
-                         ids=["degenerate", "power-sums"])
+@pytest.mark.parametrize(
+    "metric", [PRODUCT_METRIC, POWER_SUM_METRIC, MetricFunction(SymmetricCubic(4, 1, -3, 3))],
+    ids=["degenerate", "power-sums", "power-sums-n4"])
 def test_configuratrix_resultant_momentum_length_check(metric):
-    # the degenerate shortcut answers only a well-formed question
-    with pytest.raises(ValueError, match="momentum has 2 components, expected 3"):
+    # the degenerate shortcut and the size rule (over budget at n = 4) both
+    # answer only a well-formed question
+    with pytest.raises(ValueError, match=f"momentum has 2 components, expected {metric.s.n}"):
         configuratrix_resultant(metric, Momentum.of([1, 2]))
 
 

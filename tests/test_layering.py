@@ -1,6 +1,7 @@
 """Module ownership, read from the sources: the CLI owns the wire format, the
-closed form stays independent of the oracle that checks it, and every name
-the benchmark's tracer binds exists."""
+closed form stays independent of the oracle that checks it, every name the
+benchmark's tracer binds exists, and every public name has a user outside
+the tests."""
 import ast
 import importlib.util
 import subprocess
@@ -22,6 +23,22 @@ def imported_names(path):
             base = "." * node.level + (node.module or "")
             yield base
             yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def used_names(path):
+    """Names a module refers to: loaded or stored names, attributes, imported
+    names and their aliases, and string constants (names looked up by
+    string, as the tracer does)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+            yield node.asname
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
 
 
 def test_only_the_cli_imports_json():
@@ -60,3 +77,14 @@ def test_perfbench_tracer_binds_every_name_it_traces(monkeypatch):
     finally:
         tracer.uninstall()
     assert (symres.oracle.det_bareiss, MultiPoly.__dict__["substitute_linear"]) == originals
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name only tests use is a second implementation kept for them; it
+    # belongs in tests/. Definitions do not count, and __init__.py only
+    # re-exports.
+    root = PACKAGE.parent.parent
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    sources += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    used = set().union(*map(used_names, sources))
+    assert sorted(set(symres.__all__) - used) == []
