@@ -11,7 +11,6 @@ resultant answers.
 from .closedform import (
     ReportFactor,
     ResultantReport,
-    closed_form_factor,
     closed_form_resultant,
     formula_to_canonical_ratio,
     resultant_via_reduction,
@@ -70,7 +69,6 @@ __all__ = [
     "SymmetricCubic",
     "TransformationUndefinedError",
     "check_macaulay_size",
-    "closed_form_factor",
     "closed_form_resultant",
     "configuratrix_resultant",
     "configuratrix_system",

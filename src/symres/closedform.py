@@ -17,11 +17,12 @@ reported rather than hidden.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .polycore import MatrixSizeError, Scalar
-from .symcubic import NormalizedCoeffs, ReducedParams, SymmetricCubic
+from .symcubic import ReducedParams, SymmetricCubic
 
 #: Size budget for expanding the closed form, in bits of the unreduced
 #: product. A 588,000-bit value expands in 0.12 s and converts to decimal in
@@ -31,7 +32,7 @@ MAX_CLOSED_FORM_BITS = 10 ** 6
 
 def formula_to_canonical_ratio(n: int) -> Fraction:
     """Constant ratio between the raw factored formula and the canonical value."""
-    return Fraction(2) ** (2 ** (n - 1))
+    return Fraction(2 ** 2 ** (n - 1))
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,6 @@ class ResultantReport:
     formula_value: Fraction
     factors: tuple[ReportFactor, ...]
     vanishes: bool
-
-
-def closed_form_factor(bp: NormalizedCoeffs, n: int, k: int) -> Scalar:
-    """The k-th parenthesized factor of the factored resultant formula:
-    (6*(n-2k)^2/n^2)*b1*b3^2 - (k*(n-k)/n^2)*b2^3."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k={k} out of range 0..{n - 1}")
-    nn = n * n
-    return (Fraction(6 * (n - 2 * k) ** 2, nn) * bp.b1 * bp.b3 ** 2
-            - Fraction(k * (n - k), nn) * bp.b2 ** 3)
 
 
 def _bit_size(q: Fraction) -> int:
@@ -110,15 +101,24 @@ def _expand(lead: Fraction, lead_exp: int, factors: list[Fraction],
 def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:
     """Evaluate the factored formula; total on every stratum.
 
-    The b3 prefactor exponent (n-3)*2^(n-1) uses the 0**0 = 1 convention at
-    n = 3, where the prefactor is absent from the factored form; b3 = 0 makes
-    factor 0 vanish, so the factors decide. Vanishing cubics are answered at
-    any n; the rest raise MatrixSizeError above MAX_CLOSED_FORM_BITS.
+    With B_i = b_i*Q on one common denominator Q, the factor
+    Y_k = (6*(n-2k)^2*b1*b3^2 - k*(n-k)*b2^3)/n^2 is the one Fraction
+    (6*(n-2k)^2*B1*B3^2 - k*(n-k)*B2^3)/(n^2*Q^3). The b3 prefactor exponent
+    (n-3)*2^(n-1) uses the 0**0 = 1 convention at n = 3, where the prefactor
+    is absent from the factored form; b3 = 0 makes factor 0 vanish, so the
+    factors decide. Vanishing cubics are answered at any n; the rest raise
+    MatrixSizeError above MAX_CLOSED_FORM_BITS.
     """
     n, bp = sc.n, sc.normalized_coeffs()
+    b1, b2, b3 = bp.b1, bp.b2, bp.b3
+    q = math.lcm(b1.denominator, b2.denominator, b3.denominator)
+    left = 6 * b1.numerator * (q // b1.denominator) * (b3.numerator * (q // b3.denominator)) ** 2
+    right, den = (b2.numerator * (q // b2.denominator)) ** 3, n * n * q ** 3
+    values = [Fraction((n - 2 * k) ** 2 * left - k * (n - k) * right, den)
+              for k in range(n // 2 + 1)]
+    values += values[(n - 1) // 2:0:-1]  # k -> n-k keeps (n-2k)^2 and k(n-k)
     exponents = _binomial_row(n)
-    values = [closed_form_factor(bp, n, k) for k in range(n)]
-    formula_value, canonical = _expand(bp.b3, (n - 3) * 2 ** (n - 1), values, exponents)
+    formula_value, canonical = _expand(b3, (n - 3) * 2 ** (n - 1), values, exponents)
     factors = tuple(map(ReportFactor, range(n), values, exponents))
     return ResultantReport(canonical_value=canonical, formula_value=formula_value,
                            factors=factors, vanishes=not formula_value)

@@ -7,6 +7,7 @@ coefficient transformations the resultant formulas are phrased in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,14 +140,15 @@ class SymmetricCubic:
         return forms
 
     def normalized_coeffs(self) -> NormalizedCoeffs:
-        """Exact linear coefficient change (b1, b2, b3); always defined."""
-        n = self.n
+        """Exact linear coefficient change (b1, b2, b3); always defined. b1 and
+        b2 are one integer each over 6q and q, q the lcm of the denominators."""
+        n, a1, a2, a3 = self.n, self.a1, self.a2, self.a3
+        q = math.lcm(a1.denominator, a2.denominator, a3.denominator)
+        p1, p2 = a1.numerator * (q // a1.denominator), a2.numerator * (q // a2.denominator)
+        p3 = a3.numerator * (q // a3.denominator)
         return NormalizedCoeffs(
-            b1=n * n * self.a1 + Fraction(n * (n - 1), 2) * self.a2
-               + Fraction((n - 1) * (n - 2), 6) * self.a3,
-            b2=n * self.a2 + (n - 2) * self.a3,
-            b3=self.a3,
-        )
+            b1=Fraction(6 * n * n * p1 + 3 * n * (n - 1) * p2 + (n - 1) * (n - 2) * p3, 6 * q),
+            b2=Fraction(n * p2 + (n - 2) * p3, q), b3=a3)
 
 
 def decompose(p: MultiPoly) -> SymmetricCubic:

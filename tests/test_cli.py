@@ -402,6 +402,20 @@ def test_sweep_one_point_too_large_to_print(tmp_path):
     assert "error" in json.loads(proc.stderr)
 
 
+def test_sweep_refused_mid_grid_writes_nothing(tmp_path):
+    # the first point has b1 = 0 and prints "0"; the second passes the
+    # int->str limit, so the whole grid is refused and no line is written
+    spec = dict(SWEEP_3X3, n=14, A1={"start": "195/196", "stop": "1", "step": "1/196"},
+                A2={"start": "-3", "stop": "-3", "step": "1"}, A3="3")
+    out_path = tmp_path / "lines.jsonl"
+    proc = run_module("sweep", write_json(tmp_path, "grid.json", spec), "--out", str(out_path))
+    assert proc.returncode == 4
+    assert not out_path.exists()
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "error" in json.loads(proc.stderr)
+
+
 def test_sweep_deterministic_repeat(tmp_path, capsys):
     path = write_json(tmp_path, "grid.json", SWEEP_3X3)
     _, first, _ = run_cli(capsys, "sweep", path)

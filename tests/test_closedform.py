@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -7,16 +8,17 @@ import pytest
 
 import symres.closedform
 from symres.cli import json_line, report_json
-from symres.closedform import (
-    MAX_CLOSED_FORM_BITS,
-    closed_form_factor,
-    closed_form_resultant,
-    resultant_via_reduction,
-)
+from symres.closedform import MAX_CLOSED_FORM_BITS, closed_form_resultant, resultant_via_reduction
 from symres.oracle import MatrixSizeError
-from symres.symcubic import ReducedParams, SymmetricCubic, TransformationUndefinedError
+from symres.symcubic import (
+    NormalizedCoeffs,
+    ReducedParams,
+    SymmetricCubic,
+    TransformationUndefinedError,
+)
 
 from test_acceptance import grouped_product, sign_vector_product
+from test_oracle import _from_normalized
 from test_symcubic import random_cubic
 
 
@@ -24,6 +26,28 @@ def synthetic_params(a, b):
     """ReducedParams for a bare (a, b) pair; d is unused by the products."""
     a, b = Fraction(a), Fraction(b)
     return ReducedParams(a=a, b=b, d=Fraction(1), radicand=a * a - b)
+
+
+def closed_form_factor(bp, n, k):
+    """Reference k-th parenthesized factor of the factored resultant formula,
+    one Fraction operation at a time:
+    (6*(n-2k)^2/n^2)*b1*b3^2 - (k*(n-k)/n^2)*b2^3."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"k={k} out of range 0..{n - 1}")
+    nn = n * n
+    return (Fraction(6 * (n - 2 * k) ** 2, nn) * bp.b1 * bp.b3 ** 2
+            - Fraction(k * (n - k), nn) * bp.b2 ** 3)
+
+
+def normalized_reference(sc):
+    """Reference (b1, b2, b3), straight from their definition in Fractions."""
+    n = sc.n
+    return NormalizedCoeffs(
+        b1=n * n * sc.a1 + Fraction(n * (n - 1), 2) * sc.a2
+           + Fraction((n - 1) * (n - 2), 6) * sc.a3,
+        b2=n * sc.a2 + (n - 2) * sc.a3,
+        b3=sc.a3,
+    )
 
 
 def canonical_factor(sc, k):
@@ -83,6 +107,64 @@ def test_canonical_factor_product_is_canonical_value():
         for k in range(sc.n):
             product *= canonical_factor(sc, k) ** math.comb(sc.n - 1, k)
         assert product == closed_form_resultant(sc).canonical_value
+
+
+def stratum_batch():
+    """Seeded cubics with denominators on every stratum at n = 3..12. d = -b2,
+    so the d = 0 stratum is also the b2 = 0 one; on "factor-k" one factor
+    Y_k vanishes."""
+    rng = random.Random(1103)
+
+    def r():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+
+    batch = []
+    for n in range(3, 13):
+        for _ in range(3):
+            a1, a2, a3, k = r(), r(), r(), rng.randrange(1, n)
+            b1_root = k * (n - k) * a2 ** 3 / (6 * (n - 2 * k) ** 2 * a3 ** 2) if 2 * k != n else 0
+            batch += [
+                SymmetricCubic(n, a1, a2, a3),                   # generic
+                SymmetricCubic(n, 0, a2, a3),                    # a1 = 0
+                SymmetricCubic(n, a1, a2, 0),                    # a3 = 0
+                _from_normalized(n, a1, 0, a3),                  # d = b2 = 0
+                _from_normalized(n, 0, a2, a3),                  # b1 = 0
+                _from_normalized(n, b1_root, a2 if b1_root else 0, a3),  # factor-k
+                SymmetricCubic(n, a1, -3 * a1, 3 * a1),          # power sums
+            ]
+    return batch
+
+
+def hex_fraction(value):
+    return f"{value.numerator:x}/{value.denominator:x}"
+
+
+def test_integer_kernel_matches_the_fraction_reference_on_every_stratum():
+    batch = stratum_batch()
+    transcript, vanishing = hashlib.sha256(), 0
+    for sc in batch:
+        n = sc.n
+        bp = sc.normalized_coeffs()
+        assert bp == normalized_reference(sc)
+        report = closed_form_resultant(sc)
+        values = [closed_form_factor(bp, n, k) for k in range(n)]
+        assert [f.value for f in report.factors] == values
+        formula = Fraction(1) if n == 3 else bp.b3 ** ((n - 3) * 2 ** (n - 1))
+        for k, value in enumerate(values):
+            formula *= value ** math.comb(n - 1, k)
+        assert report.formula_value == formula
+        assert report.canonical_value == formula / 2 ** 2 ** (n - 1)
+        assert report.vanishes == (formula == 0)
+        vanishing += report.vanishes
+        # hexadecimal, which has no int->str digit limit
+        transcript.update(f"{sc!r} {hex_fraction(report.formula_value)} "
+                          f"{hex_fraction(report.canonical_value)} {report.vanishes}\n".encode())
+    # 30 each on a3 = 0, b1 = 0 and factor-k; 15 on d = 0, where Y_(n/2) = 0
+    # at even n; and (4, 0, -1/2, 3), an a1 = 0 cubic that also has b1 = 0
+    assert vanishing == 106
+    # the batch's values and verdicts as the Fraction-by-Fraction kernel gave them
+    assert transcript.hexdigest() == (
+        "2311bbd1204e240ab46712b3dbd3a9e740e0ff3acc37daa2be84e2050575ee75")
 
 
 # -- the closed-form report -----------------------------------------------------
