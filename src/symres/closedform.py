@@ -17,7 +17,6 @@ reported rather than hidden.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ MAX_CLOSED_FORM_BITS = 10 ** 6
 
 def formula_to_canonical_ratio(n: int) -> Fraction:
     """Constant ratio between the raw factored formula and the canonical value."""
-    return Fraction(2 ** 2 ** (n - 1))
+    return Fraction(2) ** (2 ** (n - 1))
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,6 @@ class ResultantReport:
     vanishes: bool
 
 
-def _bit_size(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
-
-
 def _binomial_row(n: int) -> list[int]:
     """C(n-1, k) for k = 0..n-1, each entry from the one before."""
     row = [1]
@@ -83,17 +78,19 @@ def _expand(lead: Fraction, lead_exp: int, factors: list[Fraction],
         return Fraction(0), Fraction(0)
     if exponents is None:
         exponents = _binomial_row(len(factors))
-    bits = lead_exp * _bit_size(lead)
-    for value, exponent in zip(factors, exponents):
-        bits += exponent * _bit_size(value)
+    parts = [(lead.numerator, lead.denominator, lead_exp)]
+    parts += [(v.numerator, v.denominator, e) for v, e in zip(factors, exponents)]
+    bits = 0
+    for p, q, exponent in parts:
+        bits += exponent * (p.bit_length() + q.bit_length())
     if bits > MAX_CLOSED_FORM_BITS:
         raise MatrixSizeError(
             f"closed form would expand to about {bits} bits "
             f"(limit {MAX_CLOSED_FORM_BITS})")
-    num, den = lead.numerator ** lead_exp, lead.denominator ** lead_exp
-    for value, exponent in zip(factors, exponents):
-        num *= value.numerator ** exponent
-        den *= value.denominator ** exponent
+    num = den = 1
+    for p, q, exponent in parts:
+        num *= p ** exponent
+        den *= q ** exponent
     total = Fraction(num, den)
     return total, total / formula_to_canonical_ratio(len(factors))
 
@@ -101,24 +98,21 @@ def _expand(lead: Fraction, lead_exp: int, factors: list[Fraction],
 def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:
     """Evaluate the factored formula; total on every stratum.
 
-    With B_i = b_i*Q on one common denominator Q, the factor
-    Y_k = (6*(n-2k)^2*b1*b3^2 - k*(n-k)*b2^3)/n^2 is the one Fraction
+    With b_i = B_i/Q on the one denominator of normalized_numerators, the
+    factor Y_k = (6*(n-2k)^2*b1*b3^2 - k*(n-k)*b2^3)/n^2 is the one Fraction
     (6*(n-2k)^2*B1*B3^2 - k*(n-k)*B2^3)/(n^2*Q^3). The b3 prefactor exponent
     (n-3)*2^(n-1) uses the 0**0 = 1 convention at n = 3, where the prefactor
     is absent from the factored form; b3 = 0 makes factor 0 vanish, so the
     factors decide. Vanishing cubics are answered at any n; the rest raise
     MatrixSizeError above MAX_CLOSED_FORM_BITS.
     """
-    n, bp = sc.n, sc.normalized_coeffs()
-    b1, b2, b3 = bp.b1, bp.b2, bp.b3
-    q = math.lcm(b1.denominator, b2.denominator, b3.denominator)
-    left = 6 * b1.numerator * (q // b1.denominator) * (b3.numerator * (q // b3.denominator)) ** 2
-    right, den = (b2.numerator * (q // b2.denominator)) ** 3, n * n * q ** 3
+    n, (b1, b2, b3, q) = sc.n, sc.normalized_numerators()
+    left, right, den = 6 * b1 * b3 * b3, b2 ** 3, n * n * q ** 3
     values = [Fraction((n - 2 * k) ** 2 * left - k * (n - k) * right, den)
               for k in range(n // 2 + 1)]
     values += values[(n - 1) // 2:0:-1]  # k -> n-k keeps (n-2k)^2 and k(n-k)
     exponents = _binomial_row(n)
-    formula_value, canonical = _expand(b3, (n - 3) * 2 ** (n - 1), values, exponents)
+    formula_value, canonical = _expand(sc.a3, (n - 3) * 2 ** (n - 1), values, exponents)
     factors = tuple(map(ReportFactor, range(n), values, exponents))
     return ResultantReport(canonical_value=canonical, formula_value=formula_value,
                            factors=factors, vanishes=not formula_value)

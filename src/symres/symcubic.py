@@ -66,9 +66,9 @@ class SymmetricCubic:
     def __init__(self, n: int, a1: ScalarLike, a2: ScalarLike, a3: ScalarLike):
         check_dimension(n)
         self.n = n
-        self.a1 = Fraction(a1)
-        self.a2 = Fraction(a2)
-        self.a3 = Fraction(a3)
+        # a Fraction is immutable, so one passed in is kept as it is
+        self.a1, self.a2, self.a3 = (
+            a if type(a) is Fraction else Fraction(a) for a in (a1, a2, a3))
         if self.a1 == 0 and self.a2 == 0 and self.a3 == 0:
             raise ValueError("the zero polynomial is not a valid symmetric cubic")
 
@@ -139,16 +139,20 @@ class SymmetricCubic:
             forms.append(xi * xi + xi * s1 * (2 * rp.a) + shared)
         return forms
 
-    def normalized_coeffs(self) -> NormalizedCoeffs:
-        """Exact linear coefficient change (b1, b2, b3); always defined. b1 and
-        b2 are one integer each over 6q and q, q the lcm of the denominators."""
+    def normalized_numerators(self) -> tuple[int, int, int, int]:
+        """(B1, B2, B3, Q) with b_i = B_i/Q on the one denominator Q = 6q, q
+        the lcm of the denominators of a1, a2, a3."""
         n, a1, a2, a3 = self.n, self.a1, self.a2, self.a3
         q = math.lcm(a1.denominator, a2.denominator, a3.denominator)
         p1, p2 = a1.numerator * (q // a1.denominator), a2.numerator * (q // a2.denominator)
         p3 = a3.numerator * (q // a3.denominator)
-        return NormalizedCoeffs(
-            b1=Fraction(6 * n * n * p1 + 3 * n * (n - 1) * p2 + (n - 1) * (n - 2) * p3, 6 * q),
-            b2=Fraction(n * p2 + (n - 2) * p3, q), b3=a3)
+        return (6 * n * n * p1 + 3 * n * (n - 1) * p2 + (n - 1) * (n - 2) * p3,
+                6 * (n * p2 + (n - 2) * p3), 6 * p3, 6 * q)
+
+    def normalized_coeffs(self) -> NormalizedCoeffs:
+        """Exact linear coefficient change (b1, b2, b3); always defined."""
+        b1, b2, _, q = self.normalized_numerators()
+        return NormalizedCoeffs(b1=Fraction(b1, q), b2=Fraction(b2, q), b3=self.a3)
 
 
 def decompose(p: MultiPoly) -> SymmetricCubic:

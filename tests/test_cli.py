@@ -393,16 +393,6 @@ def test_sweep_one_point_size_guard(tmp_path):
 
 
 def test_sweep_one_point_too_large_to_print(tmp_path):
-    spec = dict(SWEEP_3X3, n=14, A1={"start": "1", "stop": "1", "step": "1"},
-                A2={"start": "-3", "stop": "-3", "step": "1"}, A3="3")
-    proc = run_module("sweep", write_json(tmp_path, "grid.json", spec))
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert "error" in json.loads(proc.stderr)
-
-
-def test_sweep_refused_mid_grid_writes_nothing(tmp_path):
     # the first point has b1 = 0 and prints "0"; the second passes the
     # int->str limit, so the whole grid is refused and no line is written
     spec = dict(SWEEP_3X3, n=14, A1={"start": "195/196", "stop": "1", "step": "1/196"},
@@ -412,6 +402,7 @@ def test_sweep_refused_mid_grid_writes_nothing(tmp_path):
     assert proc.returncode == 4
     assert not out_path.exists()
     assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert "error" in json.loads(proc.stderr)
 

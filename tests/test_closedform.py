@@ -146,6 +146,8 @@ def test_integer_kernel_matches_the_fraction_reference_on_every_stratum():
         n = sc.n
         bp = sc.normalized_coeffs()
         assert bp == normalized_reference(sc)
+        *numerators, q = sc.normalized_numerators()
+        assert [Fraction(b, q) for b in numerators] == [bp.b1, bp.b2, bp.b3]
         report = closed_form_resultant(sc)
         values = [closed_form_factor(bp, n, k) for k in range(n)]
         assert [f.value for f in report.factors] == values
