@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .closedform import (
@@ -139,7 +140,7 @@ def cmd_closed(args) -> int:
 def cmd_compare(args) -> int:
     cubic = read_cubic(_read_json(args.input))
     if args.oracle:
-        check_macaulay_size((2,) * cubic.n)
+        check_macaulay_size(repeat(2, cubic.n))
     report = closed_form_resultant(cubic)
     values = [report.canonical_value]
     try:

@@ -84,9 +84,7 @@ def _expand(lead: Fraction, lead_exp: int, factors: list[Fraction],
     for p, q, exponent in parts:
         bits += exponent * (p.bit_length() + q.bit_length())
     if bits > MAX_CLOSED_FORM_BITS:
-        raise MatrixSizeError(
-            f"closed form would expand to about {bits} bits "
-            f"(limit {MAX_CLOSED_FORM_BITS})")
+        raise MatrixSizeError(f"closed form would expand past {MAX_CLOSED_FORM_BITS} bits")
     num = den = 1
     for p, q, exponent in parts:
         num *= p ** exponent

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import MatrixSizeError, MultiPoly, QuadExt, Scalar, monomials_of_degree
 from .symcubic import SymmetricCubic
@@ -25,15 +25,17 @@ from .symcubic import SymmetricCubic
 MAX_MATRIX_ENTRIES = 10 ** 5
 
 
-def check_macaulay_size(degrees: Sequence[int]) -> None:
+def check_macaulay_size(degrees: Iterable[int]) -> None:
     """Refuse (MatrixSizeError) a Macaulay matrix over MAX_MATRIX_ENTRIES from
-    the degrees alone, before any form is built. Its size C(nu+n-1, j) at
-    j = min(n-1, nu) is counted up through j, where the binomials never
-    decrease, so the count stops once past the limit: a few steps at any n."""
-    n, nu = len(degrees), sum(d - 1 for d in degrees) + 1
-    count = 1
-    for j in range(1, min(n - 1, nu) + 1):
-        count = count * (nu + n - j) // j
+    the degrees alone, before any form is built. Its size is C(nu+n-1, n-1),
+    nu = sum(d_i - 1) + 1. No prefix of a system has a larger matrix (each
+    added form adds a variable and does not lower nu), so the degrees are
+    read lazily and the check stops at the first prefix over the limit: a
+    few steps at any n."""
+    n, nu = 0, 1
+    for d in degrees:
+        n, nu = n + 1, nu + d - 1
+        count = math.comb(nu + n - 1, n - 1)
         if count * count > MAX_MATRIX_ENTRIES:
             raise MatrixSizeError(f"Macaulay matrix would have at least {count}^2 "
                                   f"entries (limit {MAX_MATRIX_ENTRIES})")
@@ -384,47 +386,6 @@ class RootWitness:
     pattern: Optional[tuple[int, Coordinate, Coordinate]]
 
 
-def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
-    """Exact nonnegative square root of a rational, or None."""
-    if q < 0:
-        return None
-    num_root = math.isqrt(q.numerator)
-    den_root = math.isqrt(q.denominator)
-    if num_root * num_root == q.numerator and den_root * den_root == q.denominator:
-        return Fraction(num_root, den_root)
-    return None
-
-
-def _binary_quadratic_roots(p: Fraction, q: Fraction, r: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Rational projective roots (t, u) of p*t^2 + q*t*u + r*u^2, in
-    deterministic order. The zero quadratic returns [].
-
-    Irrational roots are dropped because no pattern point built from them is
-    a common root. Every coordinate z of a common root solves
-    a3*z^2 - c*s1*z + K = 0 with c = a2+a3 and K = (3a1+a2)*s1^2 + c*s2.
-    Suppose 0 < k < n (at k = 0 or n the one slot equation is a multiple of
-    u^2 or t^2) and rho = t/u is irrational.
-    If a3 != 0, rho and 1 are the two roots, so rho*(a3 - c*k) = c*(n-k) - a3.
-    That forces a3 = c*k = c*(n-k), hence n = 2k and d = 0, and the product
-    condition then reads k*(rho+1)^2*(k*(3a1+a2) + c*(k-1)/2) = 0. So either
-    rho = -1, or both slot quadratics vanish identically and the candidates
-    are the rational (1, 0) and (0, 1). If a3 = 0, t != u forces c*s1 = 0,
-    and s1 = 0 (which c = 0 also forces, through K = 3*a1*s1^2) makes rho
-    rational.
-    """
-    if p != 0:
-        root = _sqrt_fraction(q * q - 4 * p * r)
-        if root is None:
-            return []
-        ts = sorted({(-q - root) / (2 * p), (-q + root) / (2 * p)})
-        return [(t, Fraction(1)) for t in ts]
-    if q != 0:
-        return [(-r / q, Fraction(1)), (Fraction(1), Fraction(0))]
-    if r != 0:
-        return [(Fraction(1), Fraction(0))]
-    return []
-
-
 def _pattern_equations(sc: SymmetricCubic, k: int):
     """Representative gradient forms on points with k coords t and n-k coords u.
 
@@ -448,24 +409,43 @@ def _pattern_equations(sc: SymmetricCubic, k: int):
 
 
 def _candidate_pairs(eqs) -> list[tuple[Fraction, Fraction]]:
-    nonzero = [e for e in eqs if any(c != 0 for c in e)]
-    if not nonzero:
-        # every equation vanishes identically: any nonzero (t, u) works
-        return [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    head, rest = nonzero[0], nonzero[1:]
-    return [(t, u) for t, u in _binary_quadratic_roots(*head)
-            if all(p * t * t + q * t * u + r * u * u == 0 for p, q, r in rest)]
+    """The rational candidate (t, u) of one pattern's slot equations, checked
+    by evaluation: at most one pair, or (1, 0) and (0, 1) when every
+    equation vanishes identically.
+
+    Every slot equation is a3*z^2 - c*s1*z + K at z = t or z = u, so two
+    slots differ by (t - u)*(alpha*t + beta*u), where alpha = p_t - p_u =
+    a3 - c*k and beta = r_u - r_t = a3 - c*(n-k). Off t = u (the all-equal
+    point, which k = 0 returns whenever it solves) the candidate is the root
+    of alpha*t + beta*u. With alpha = beta = 0, or one slot, the equation
+    is a square: 3*a1*s1^2 when a3 = c = 0, a multiple of (t + u)^2 when
+    n = 2k and a3 = c*k, G*u^2 at k = 0 and G*t^2 at k = n. Its root is
+    (-q/2p, 1), or (1, 0) when p = 0.
+    """
+    one, zero = Fraction(1), Fraction(0)
+    if not any(c for eq in eqs for c in eq):
+        return [(one, zero), (zero, one)]
+    (p, q, r), (p_u, _, r_u) = eqs[0], eqs[-1]
+    a, b = p - p_u, r_u - r
+    if not (a or b):
+        a, b = p, q / 2
+    t, u = (-b / a, one) if a else (one, zero)
+    if all(e_p * t * t + e_q * t * u + e_r * u * u == 0 for e_p, e_q, e_r in eqs):
+        return [(t, u)]
+    return []
 
 
 def root_witness(sc: SymmetricCubic) -> Optional[RootWitness]:
     """Find a nontrivial common root of the gradient system, if any.
 
     Search order: two-value patterns for k = 0..n (k coordinates t, the rest
-    u), solving the collapsed pair of binary quadratics exactly over the
-    rationals, candidates in the deterministic order of
-    _binary_quadratic_roots; the first nonzero one is returned. When that
-    finds nothing and a3 = 0, the family s1 = s2 = 0 always contains a root:
-    (1, w, conj(w), 0, ..., 0) with w a primitive cube root of unity.
+    u). A pattern has at most one candidate, rational and scaled to u = 1,
+    else (1, 0): the root of the linear factor by which its two slot
+    equations differ, or of their common square (_candidate_pairs). The
+    first candidate that solves every slot at a nonzero point is returned.
+    When that finds nothing and a3 = 0, the family s1 = s2 = 0 always
+    contains a root: (1, w, conj(w), 0, ..., 0) with w a primitive cube root
+    of unity.
     Returns None exactly when the canonical resultant is nonzero.
     """
     n = sc.n

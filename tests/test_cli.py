@@ -105,12 +105,16 @@ def run_module(*argv):
 
 def test_closed_size_guard_runs_before_expanding(tmp_path):
     # the n = 40 closed form has about 6.5e13 bits; it is refused from its
-    # factors' bit lengths instead of being expanded
-    proc = run_module("closed", write_json(tmp_path, "ps40.json", dict(POWER_SUMS, n=40)))
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert "error" in json.loads(proc.stderr)
+    # factors' bit lengths instead of being expanded. At n = 15000 the bit
+    # estimate itself has over 4300 digits, so the refusal names the limit.
+    for n in (40, 15000):
+        proc = run_module("closed", write_json(tmp_path, f"ps{n}.json", dict(POWER_SUMS, n=n)))
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert len(proc.stderr) < 200
+        assert "error" in json.loads(proc.stderr)
 
 
 def test_closed_vanishing_at_large_n_is_answered(tmp_path, capsys):
@@ -219,21 +223,24 @@ def test_compare_vanishing_at_large_n_is_answered(tmp_path, n):
 
 
 @pytest.mark.parametrize("cubic", [dict(POWER_SUMS, n=6), dict(PURE_S3, n=300),
-                                   dict(PURE_S3, n=10 ** 6)],
-                         ids=["power-sums-n6", "s3-n300", "s3-n1e6"])
+                                   dict(PURE_S3, n=10 ** 6), dict(POWER_SUMS, n=10 ** 8),
+                                   dict(PURE_S3, n=10 ** 9)],
+                         ids=["power-sums-n6", "s3-n300", "s3-n1e6", "power-sums-n1e8",
+                              "s3-n1e9"])
 def test_compare_oracle_size_is_refused_before_any_route(tmp_path, cubic):
-    # the Macaulay size is read from the degrees alone, so no closed form,
-    # chain or gradient form is built before the refusal
+    # the Macaulay size is read from the degrees alone, lazily, so no closed
+    # form, chain, gradient form or n-tuple of degrees is built before the
+    # refusal
     proc = subprocess.run(
         [sys.executable, "-m", "symres", "compare", "--oracle",
          write_json(tmp_path, "c.json", cubic)],
-        capture_output=True, text=True, timeout=5)
+        capture_output=True, text=True, timeout=5, preexec_fn=_limit_address_space)
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert len(proc.stderr) < 200
-    assert "error" in json.loads(proc.stderr)
+    assert "Macaulay matrix" in json.loads(proc.stderr)["error"]
 
 
 def test_compare_without_oracle(tmp_path, capsys):

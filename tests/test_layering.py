@@ -1,7 +1,7 @@
 """Module ownership, read from the sources: the CLI owns the wire format, the
 closed form stays independent of the oracle that checks it, every name the
-benchmark's tracer binds exists, and every public name has a user outside
-the tests."""
+benchmark's tracer binds exists, every public name has a user outside the
+tests, and every private helper has a user in the sources."""
 import ast
 import importlib.util
 import subprocess
@@ -25,11 +25,15 @@ def imported_names(path):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
-def used_names(path):
-    """Names a module refers to: loaded or stored names, attributes, imported
-    names and their aliases, and string constants (names looked up by
-    string, as the tracer does)."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def used_names(tree):
+    """Names a syntax tree refers to: loaded or stored names, attributes,
+    imported names and their aliases, and string constants (names looked up
+    by string, as the tracer does)."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -86,5 +90,21 @@ def test_every_public_name_is_used_outside_the_tests():
     root = PACKAGE.parent.parent
     sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     sources += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
-    used = set().union(*map(used_names, sources))
+    used = set().union(*(used_names(parse(path)) for path in sources))
     assert sorted(set(symres.__all__) - used) == []
+
+
+def test_every_private_helper_is_used_by_the_sources():
+    # a module-level _helper that no source code refers to any more is a
+    # deleted path's leftover kept for its tests; uses inside its own
+    # definition do not count
+    statements = [stmt for path in PACKAGE.glob("*.py") for stmt in parse(path).body]
+    uses = [(stmt, set(used_names(stmt))) for stmt in statements]
+    helpers = [stmt.name for stmt in statements
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and stmt.name.startswith("_") and not stmt.name.startswith("__")]
+    assert helpers
+    unused = [name for name in helpers
+              if not any(name in names for stmt, names in uses
+                         if getattr(stmt, "name", None) != name)]
+    assert unused == []

@@ -14,8 +14,8 @@ from symres.oracle import (
     MacaulaySystem,
     MatrixSizeError,
     RootWitness,
-    _binary_quadratic_roots,
     _build_matrix,
+    _candidate_pairs,
     _integer_forms,
     _pencil_value,
     check_macaulay_size,
@@ -591,12 +591,26 @@ def test_witness_iff_vanishing_random():
             assert verify_witness(sc, w)
 
 
-def test_binary_quadratic_roots_are_rational_only():
-    assert _binary_quadratic_roots(Fraction(1), Fraction(0), Fraction(-2)) == []
-    assert _binary_quadratic_roots(Fraction(1), Fraction(0), Fraction(-4)) == [
-        (Fraction(-2), Fraction(1)), (Fraction(2), Fraction(1))]
-    assert _binary_quadratic_roots(Fraction(0), Fraction(2), Fraction(1)) == [
-        (Fraction(-1, 2), Fraction(1)), (Fraction(1), Fraction(0))]
+def test_candidate_pairs_read_the_root_off_the_linear_factor():
+    one, zero = Fraction(1), Fraction(0)
+    # slots 2t^2 + 4tu and t^2 + 3tu + 2u^2 differ by (t - u)(t + 2u):
+    # alpha = 1, beta = 2, and (-2, 1) solves both
+    assert _candidate_pairs([(Fraction(2), Fraction(4), zero),
+                             (one, Fraction(3), Fraction(2))]) == [(Fraction(-2), one)]
+    # the same difference factor, where (-2, 1) solves neither slot
+    assert _candidate_pairs([(Fraction(2), Fraction(4), one),
+                             (one, Fraction(3), Fraction(3))]) == []
+    # 2tu and tu + u^2 differ by (t - u)*u: alpha = 0, so the root is (1, 0)
+    assert _candidate_pairs([(zero, Fraction(2), zero), (zero, one, one)]) == [(one, zero)]
+    # equal squares 3(t + 2u)^2: the root is (-q/2p, 1)
+    square = (Fraction(3), Fraction(12), Fraction(12))
+    assert _candidate_pairs([square, square]) == [(Fraction(-2), one)]
+    # one slot: G*u^2 at k = 0 gives (1, 0), G*t^2 at k = n gives (0, 1)
+    assert _candidate_pairs([(zero, zero, Fraction(5))]) == [(one, zero)]
+    assert _candidate_pairs([(Fraction(5), zero, zero)]) == [(zero, one)]
+    # every equation vanishes: both unit pairs
+    assert _candidate_pairs([(zero,) * 3, (zero,) * 3]) == [(one, zero), (zero, one)]
+    assert _candidate_pairs([(zero,) * 3]) == [(one, zero), (zero, one)]
 
 
 def _from_normalized(n, b1, b2, b3):

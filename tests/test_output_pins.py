@@ -1,17 +1,20 @@
-"""Byte-identity pins of the CLI's closed-form output.
+"""Byte-identity pins of the CLI's closed-form and witness output.
 
 Each batch runs the CLI in-process and hashes a transcript of every call:
-the arguments, the exit code, stdout and stderr. The digests were taken
-while each factor was still evaluated as a chain of Fraction operations,
-before the integer evaluation over one common denominator; any change to a
-printed byte, an exit code or a refusal message changes a digest. The one
-text left out is the interpreter's own int->str message after "answer too
-large to print:", whose wording differs between Python versions.
+the arguments, the exit code, stdout and stderr. The closed-form digests
+were taken while each factor was still evaluated as a chain of Fraction
+operations, before the integer evaluation over one common denominator; the
+witness digest while each two-value pattern was still solved through exact
+square roots of binary-quadratic discriminants. Any change to a printed
+byte, an exit code or a refusal message changes a digest. The one text left
+out is the interpreter's own int->str message after "answer too large to
+print:", whose wording differs between Python versions.
 """
 import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -19,7 +22,7 @@ import pytest
 
 from symres.cli import main
 
-from test_oracle import stratum_cubics
+from test_oracle import _stratum_cubic, stratum_cubics
 
 PRINT_LIMIT = re.compile(r"(answer too large to print:)[^\n]*")
 
@@ -134,3 +137,27 @@ def test_closed_reports_on_the_strata_are_pinned(tmp_path, flags):
     digest, codes = transcript(tmp_path, calls)
     assert codes == CLOSED_EXIT_CODES
     assert digest == CLOSED_DIGESTS[len(flags)]
+
+
+def witness_cubics():
+    """strata_cubics(), three seeded cubics per n = 3..12 on each witness
+    stratum of test_oracle (d0-balanced at even n only), and two large n:
+    power sums without a witness and a pure s1^3 with one."""
+    cubics = list(strata_cubics())
+    for stratum in ["d0-balanced", "c0", "a3-zero", "factor-k"]:
+        rng = random.Random(f"witness-pin-{stratum}")
+        for n in range(3, 13):
+            if stratum == "d0-balanced" and n % 2:
+                continue
+            for _ in range(3):
+                sc = _stratum_cubic(stratum, rng, n)
+                cubics.append((n, sc.a1, sc.a2, sc.a3))
+    return cubics + [(200, 1, -3, 3), (201, 1, 0, 0)]
+
+
+def test_witness_reports_are_pinned(tmp_path):
+    calls = [("witness", {"n": n, "A1": str(a1), "A2": str(a2), "A3": str(a3)}, [])
+             for n, a1, a2, a3 in witness_cubics()]
+    digest, codes = transcript(tmp_path, calls)
+    assert codes == [0] * len(calls)
+    assert digest == "98c6e22aa56a3450bcd2fa60d00ad1c683e23ba5effc5e296869cfe0a1eb2630"
