@@ -182,33 +182,59 @@ def _permutation_sign(perm: list[int]) -> int:
 
 def _bareiss(rows: list[list[int]]) -> int:
     """Determinant of a dense integer matrix by fraction-free Bareiss
-    elimination. Intermediate entries are k x k minors of the input, so
-    every division is exact and growth stays polynomial."""
+    elimination with lazy row scaling.
+
+    At step k each Bareiss entry of a row not yet used as pivot is a
+    (k+1) x (k+1) minor of the (row-permuted) input. Step k divides by
+    prevs[k] (1 at step 0, then the pivot of step k-1), so a row whose entry
+    in the pivot column is zero is only rescaled, by prevs[k+1] / prevs[k].
+    Such a row is left as it is: row i holds the Bareiss entries of step
+    level[i], and its Bareiss entries at step k are
+    stored * prevs[k] / prevs[level[i]]. That value is a minor, so the
+    division is exact. A stale row is caught up only when it is used: as
+    the pivot row it is rescaled by that formula; with a nonzero factor the
+    prevs[k] cancels from the ordinary update, which then divides by
+    prevs[level[i]] in place of prevs[k]. The last entry is corrected the
+    same way. Scaling keeps zeros zero, so the pivot search and the factor
+    tests read the stored entries.
+    """
     m = [row[:] for row in rows]
     n = len(m)
     if n == 0:
         return 1
     sign = 1
-    prev = 1
+    prevs = [1]
+    level = [0] * n
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
+                    level[k], level[i] = level[i], level[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
         row_k = m[k]
+        if level[k] != k:
+            prev, stale = prevs[k], prevs[level[k]]
+            for j in range(k, n):
+                row_k[j] = row_k[j] * prev // stale
+        pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = m[i]
             factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+            if factor:
+                prev = prevs[level[i]]
+                for j in range(k + 1, n):
+                    row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
+                row_i[k] = 0
+                level[i] = k + 1
+        prevs.append(pivot)
+    last = m[n - 1][n - 1]
+    if level[n - 1] != n - 1:
+        last = last * prevs[n - 1] // prevs[level[n - 1]]
+    return sign * last
 
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -14,6 +14,7 @@ from symres.oracle import (
     MacaulaySystem,
     MatrixSizeError,
     RootWitness,
+    _bareiss,
     _build_matrix,
     _candidate_pairs,
     _integer_forms,
@@ -220,6 +221,54 @@ def test_det_whose_only_matching_needs_one_long_augmenting_path(n):
     assert value == (-1) ** (n - 1) * math.prod(2 + i % 3 for i in range(1, n))
     if n <= 12:
         assert value == dense_det(rows)
+
+
+# The dense kernel is called directly below: det_bareiss splits matrices this
+# small into blocks that never leave a row stale.
+
+def test_bareiss_kernel_matches_dense_random_sparse():
+    rng = random.Random(61)
+    for _ in range(600):
+        n = rng.randint(0, 14)
+        density = rng.choice([0.05, 0.1, 0.2, 0.35, 0.6, 0.8, 1.0])
+        rows = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        assert _bareiss(rows) == dense_det(rows)
+
+
+def test_bareiss_kernel_swaps_a_stale_row_into_the_pivot():
+    # Step 0 (pivot 3) zeroes row 1's column 1 and leaves row 2 stale.
+    # Step 1 swaps row 2 in and scales it by 3 / 1; the swap carries the
+    # levels, so step 2 scales row 1, stale since step 1, by 6 / 3.
+    rows = [[3, 0, 2, 2], [3, 0, 1, 0], [0, 2, 1, 0], [2, 3, 0, 0]]
+    assert _bareiss(rows) == dense_det(rows) == 26
+
+
+def test_bareiss_kernel_corrects_a_stale_last_row():
+    # the last row is up to date after step 0 (pivot 2) and stale through
+    # steps 1 and 2 (pivots 4 and 8): its entry 7 becomes 7 * 8 / 2
+    rows = [[2, 2, 2, 1], [1, 3, 1, 2], [1, 1, 3, 1], [1, 1, 1, 4]]
+    assert _bareiss(rows) == dense_det(rows) == 28
+
+
+def test_bareiss_kernel_row_stale_from_first_to_last_step():
+    # the last row is never touched: its entry 7 is scaled once, by the
+    # last pivot over the first divisor 1
+    rows = [[3, 1, 2, 1, 0], [1, 2, 1, 0, 1], [2, 1, 4, 1, 1], [1, 0, 1, 5, 2], [0, 0, 0, 0, 7]]
+    assert _bareiss(rows) == dense_det(rows) == 7 * dense_det([row[:4] for row in rows[:4]])
+
+
+def test_bareiss_kernel_singular_only_after_a_catch_up():
+    # rows 2 and 3 skip step 0; their step-1 updates (divided by 1, not by
+    # step 0's pivot 2) clear column 2, so step 2 finds no pivot
+    rows = [[2, 1, 1, 1], [1, 1, 1, 1], [0, 1, 1, 5], [0, 3, 3, 1]]
+    assert _bareiss(rows) == dense_det(rows) == 0
+    # the same stale rows end in a zero last entry; one entry changed, a
+    # nonzero one
+    rows = [[2, 1, 0, 0], [1, 1, 1, 0], [0, 3, 1, 1], [0, 6, 2, 2]]
+    assert _bareiss(rows) == dense_det(rows) == 0
+    rows[3][3] = 3
+    assert _bareiss(rows) == dense_det(rows) != 0
 
 
 # -- Macaulay resultant ------------------------------------------------------------
