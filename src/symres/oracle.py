@@ -184,19 +184,17 @@ def _bareiss(rows: list[list[int]]) -> int:
     """Determinant of a dense integer matrix by fraction-free Bareiss
     elimination with lazy row scaling.
 
-    At step k each Bareiss entry of a row not yet used as pivot is a
-    (k+1) x (k+1) minor of the (row-permuted) input. Step k divides by
-    prevs[k] (1 at step 0, then the pivot of step k-1), so a row whose entry
-    in the pivot column is zero is only rescaled, by prevs[k+1] / prevs[k].
-    Such a row is left as it is: row i holds the Bareiss entries of step
-    level[i], and its Bareiss entries at step k are
-    stored * prevs[k] / prevs[level[i]]. That value is a minor, so the
-    division is exact. A stale row is caught up only when it is used: as
-    the pivot row it is rescaled by that formula; with a nonzero factor the
-    prevs[k] cancels from the ordinary update, which then divides by
-    prevs[level[i]] in place of prevs[k]. The last entry is corrected the
-    same way. Scaling keeps zeros zero, so the pivot search and the factor
-    tests read the stored entries.
+    Step k divides by prevs[k] (1 at step 0, then the previous pivot), and
+    every Bareiss entry it leaves is a minor of the row-permuted input. A
+    step only rescales a row whose entry in the pivot column is zero, by
+    prevs[k+1] / prevs[k], so such a row is left as it is. Row i holds the
+    entries of step level[i]: its Bareiss entries at step k are
+    stored * prevs[k] / prevs[level[i]], an exact division because the
+    value is a minor. A stale row is caught up only when used: as the pivot
+    row by that formula, and with a nonzero factor by the ordinary update
+    divided by prevs[level[i]] in place of prevs[k] (the prevs[k] cancels).
+    The last entry is corrected the same way. Scaling keeps zeros zero, so
+    the pivot search and the factor tests read the stored entries.
     """
     m = [row[:] for row in rows]
     n = len(m)
@@ -217,18 +215,17 @@ def _bareiss(rows: list[list[int]]) -> int:
                 return 0
         row_k = m[k]
         if level[k] != k:
-            prev, stale = prevs[k], prevs[level[k]]
+            now, then = prevs[k], prevs[level[k]]
             for j in range(k, n):
-                row_k[j] = row_k[j] * prev // stale
+                row_k[j] = row_k[j] * now // then
         pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = m[i]
             factor = row_i[k]
             if factor:
-                prev = prevs[level[i]]
+                divisor = prevs[level[i]]
                 for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-                row_i[k] = 0
+                    row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // divisor
                 level[i] = k + 1
         prevs.append(pivot)
     last = m[n - 1][n - 1]
