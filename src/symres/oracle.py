@@ -226,6 +226,7 @@ def _bareiss(rows: list[list[int]]) -> int:
                 divisor = prevs[level[i]]
                 for j in range(k + 1, n):
                     row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // divisor
+                row_i[k] = 0  # frees the factor: entries left of the pivot are never read
                 level[i] = k + 1
         prevs.append(pivot)
     last = m[n - 1][n - 1]
