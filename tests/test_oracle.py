@@ -263,8 +263,8 @@ def test_bareiss_kernel_singular_only_after_a_catch_up():
     # step 0's pivot 2) clear column 2, so step 2 finds no pivot
     rows = [[2, 1, 1, 1], [1, 1, 1, 1], [0, 1, 1, 5], [0, 3, 3, 1]]
     assert _bareiss(rows) == dense_det(rows) == 0
-    # the same stale rows end in a zero last entry; one entry changed, a
-    # nonzero one
+    # here the stale rows' updates leave the zero in the last entry, and
+    # changing one entry makes that entry nonzero
     rows = [[2, 1, 0, 0], [1, 1, 1, 0], [0, 3, 1, 1], [0, 6, 2, 2]]
     assert _bareiss(rows) == dense_det(rows) == 0
     rows[3][3] = 3
