@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import MatrixSizeError, MultiPoly, QuadExt, Scalar, monomials_of_degree
@@ -45,7 +46,7 @@ def check_macaulay_size(degrees: Iterable[int]) -> None:
 
 def det_bareiss(rows: list[list[int]]) -> int:
     """Determinant of a dense integer matrix by fraction-free Bareiss
-    elimination with lazy row scaling.
+    elimination with lazy row scaling, over each row's nonzero span.
 
     Step k divides by prevs[k] (1 at step 0, then the previous pivot), and
     every Bareiss entry it leaves is a minor of the row-permuted input. A
@@ -56,41 +57,57 @@ def det_bareiss(rows: list[list[int]]) -> int:
     value is a minor. A stale row is caught up only when used: as the pivot
     row by that formula, and with a nonzero factor by the ordinary update
     divided by prevs[level[i]] in place of prevs[k] (the prevs[k] cancels).
-    The last entry is corrected the same way. Scaling keeps zeros zero, so
-    the pivot search and the factor tests read the stored entries.
+    The last entry is corrected the same way. Scaling keeps zeros zero.
+
+    Rows below the pivot are zero left of column k: led[k] holds those whose
+    first nonzero is in column k, the rows to update, and an update stops at
+    the larger end (end[i] is one past row i's last nonzero). A zero row gives 0.
     """
     m = [row[:] for row in rows]
     n = len(m)
     if n == 0:
         return 1
-    sign = 1
-    prevs = [1]
-    level = [0] * n
+    columns = list(range(n))
+    led: list[list[int]] = [[] for _ in range(n)]
+    end = []
+    for i, row in enumerate(m):
+        nonzero = list(compress(columns, row))
+        if not nonzero:
+            return 0
+        led[nonzero[0]].append(i)
+        end.append(nonzero[-1] + 1)
+    sign, prevs, level = 1, [1], [0] * n
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    level[k], level[i] = level[i], level[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        row_k = m[k]
+        below = led[k]
+        if m[k][k]:
+            below.remove(k)
+        elif below:
+            i = below.pop()
+            for v in (m, level, end):
+                v[k], v[i] = v[i], v[k]
+            moved = led[next(j for j in range(k + 1, n) if m[i][j])]
+            moved[moved.index(k)] = i
+            sign = -sign
+        else:
+            return 0
+        row_k, end_k = m[k], end[k]
         if level[k] != k:
             now, then = prevs[k], prevs[level[k]]
-            for j in range(k, n):
+            for j in range(k, end_k):
                 row_k[j] = row_k[j] * now // then
         pivot = row_k[k]
-        for i in range(k + 1, n):
+        for i in below:
             row_i = m[i]
-            factor = row_i[k]
-            if factor:
-                divisor = prevs[level[i]]
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // divisor
-                row_i[k] = 0  # frees the factor: entries left of the pivot are never read
-                level[i] = k + 1
+            factor, divisor = row_i[k], prevs[level[i]]
+            stop = end[i] = max(end[i], end_k)
+            for j in range(k + 1, stop):
+                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // divisor
+            row_i[k] = 0  # frees the factor: entries left of the pivot are never read
+            level[i] = k + 1
+            first = next((j for j in range(k + 1, stop) if row_i[j]), None)
+            if first is None:
+                return 0
+            led[first].append(i)
         prevs.append(pivot)
     last = m[n - 1][n - 1]
     if level[n - 1] != n - 1:
