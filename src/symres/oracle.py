@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import MatrixSizeError, MultiPoly, QuadExt, Scalar, monomials_of_degree
@@ -46,7 +47,8 @@ def check_macaulay_size(degrees: Iterable[int]) -> None:
 
 def det_bareiss(rows: list[list[int]]) -> int:
     """Determinant of a dense integer matrix by fraction-free Bareiss
-    elimination with lazy row scaling, over each row's nonzero span.
+    elimination with lazy row scaling, over each row's nonzero span. Given
+    m >= N rows of N columns, it is 0 iff their rank is below N.
 
     Step k divides by prevs[k] (1 at step 0, then the previous pivot), and
     every Bareiss entry it leaves is a minor of the row-permuted input. A
@@ -57,39 +59,43 @@ def det_bareiss(rows: list[list[int]]) -> int:
     value is a minor. A stale row is caught up only when used: as the pivot
     row by that formula, and with a nonzero factor by the ordinary update
     divided by prevs[level[i]] in place of prevs[k] (the prevs[k] cancels).
-    The last entry is corrected the same way. Scaling keeps zeros zero.
+    Scaling keeps zeros zero; the last pivot is the square determinant.
 
     Rows below the pivot are zero left of column k: led[k] holds those whose
     first nonzero is in column k, the rows to update, and an update stops at
-    the larger end (end[i] is one past row i's last nonzero). A zero row gives 0.
+    the larger end (end[i] is one past row i's last nonzero). A zero row is
+    dropped; the result is 0 once column k has no candidate pivot row or
+    fewer nonzero rows are left than columns (for a square matrix: any zero
+    row).
     """
     m = [row[:] for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    columns = list(range(n))
-    led: list[list[int]] = [[] for _ in range(n)]
+    n = len(m[0]) if m else 0
+    columns = range(n)
+    led: list[list[int]] = [[] for _ in columns]
     end = []
     for i, row in enumerate(m):
         nonzero = list(compress(columns, row))
-        if not nonzero:
-            return 0
-        led[nonzero[0]].append(i)
-        end.append(nonzero[-1] + 1)
-    sign, prevs, level = 1, [1], [0] * n
-    for k in range(n - 1):
+        if nonzero:
+            led[nonzero[0]].append(i)
+        end.append(nonzero[-1] + 1 if nonzero else 0)
+    live = sum(map(len, led))
+    sign, prevs, level = 1, [1], [0] * len(m)
+    for k in columns:
         below = led[k]
+        if not below or live < n - k:
+            return 0
         if m[k][k]:
             below.remove(k)
-        elif below:
+        else:
             i = below.pop()
             for v in (m, level, end):
                 v[k], v[i] = v[i], v[k]
-            moved = led[next(j for j in range(k + 1, n) if m[i][j])]
-            moved[moved.index(k)] = i
+            first = next((j for j in range(k + 1, end[i]) if m[i][j]), None)
+            if first is not None:
+                moved = led[first]
+                moved[moved.index(k)] = i
             sign = -sign
-        else:
-            return 0
+        live -= 1
         row_k, end_k = m[k], end[k]
         if level[k] != k:
             now, then = prevs[k], prevs[level[k]]
@@ -106,13 +112,11 @@ def det_bareiss(rows: list[list[int]]) -> int:
             level[i] = k + 1
             first = next((j for j in range(k + 1, stop) if row_i[j]), None)
             if first is None:
-                return 0
-            led[first].append(i)
+                live -= 1
+            else:
+                led[first].append(i)
         prevs.append(pivot)
-    last = m[n - 1][n - 1]
-    if level[n - 1] != n - 1:
-        last = last * prevs[n - 1] // prevs[level[n - 1]]
-    return sign * last
+    return sign * prevs[-1]
 
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -174,26 +178,46 @@ def _integer_forms(forms, degrees):
     return cleared, scale
 
 
+def _columns(n, degrees):
+    """The critical degree nu and each degree-nu monomial's column, in
+    canonical order."""
+    nu = sum(d - 1 for d in degrees) + 1
+    return nu, {mono: i for i, mono in enumerate(monomials_of_degree(n, nu))}
+
+
+def _row(form, alpha, col_index) -> list[int]:
+    """The row x^alpha * form of a form given as integer terms {exponents: int}."""
+    row = [0] * len(col_index)
+    for exps, c in form.items():
+        row[col_index[tuple(map(add, exps, alpha))]] = c
+    return row
+
+
 def _build_matrix(forms, n, degrees):
     """Macaulay rows (column order) of forms given as integer terms
     {exponents: int}, and the non-reduced column indices."""
-    nu = sum(d - 1 for d in degrees) + 1
-    cols = monomials_of_degree(n, nu)
-    col_index = {mono: i for i, mono in enumerate(cols)}
+    _, col_index = _columns(n, degrees)
     rows = []
     non_reduced = []
-    for ci, beta in enumerate(cols):
+    for ci, beta in enumerate(col_index):
         divisors = [i for i in range(n) if beta[i] >= degrees[i]]
         if len(divisors) >= 2:
             non_reduced.append(ci)
         i = divisors[0]
         alpha = list(beta)
         alpha[i] -= degrees[i]
-        row = [0] * len(cols)
-        for exps, c in forms[i].items():
-            row[col_index[tuple(a + b for a, b in zip(exps, alpha))]] = c
-        rows.append(row)
+        rows.append(_row(forms[i], alpha, col_index))
     return rows, non_reduced
+
+
+def _rank_deficient(forms, n, degrees) -> bool:
+    """Whether the full Macaulay matrix, every row x^alpha * F_i with
+    |alpha| = nu - d_i, has rank below its N columns: by Macaulay's theorem
+    (Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 3) exactly when the
+    forms have a common projective zero, i.e. when the resultant is 0."""
+    nu, col_index = _columns(n, degrees)
+    return det_bareiss([_row(f, alpha, col_index) for f, d in zip(forms, degrees)
+                        for alpha in monomials_of_degree(n, nu - d)]) == 0
 
 
 def _det_ratio(rows, non_reduced) -> Optional[Fraction]:
@@ -248,9 +272,12 @@ def macaulay_resultant(system: MacaulaySystem) -> Scalar:
     Strategy, on the integer forms: direct determinant ratio; if the
     denominator minor vanishes, retry under deterministic invertible
     substitutions x -> T*x (seeds 1..8, entries in -2..2), dividing out
-    det(T)^(d_1*...*d_n); if every retry is stuck (positive-dimensional
-    degenerations defeat all substitutions), fall back to the diagonal
-    pencil, which always resolves. The homogeneity scale is divided out last.
+    det(T)^(d_1*...*d_n). Positive-dimensional degenerations defeat every
+    retry: then 0 when the full Macaulay matrix is rank deficient
+    (_rank_deficient), else the diagonal pencil, which always resolves. The
+    certificate follows the retries because on a full-rank matrix it costs
+    far more than they do (seconds at n = 5). The homogeneity scale is
+    divided out last.
     """
     degrees = list(system.degrees)
     n = len(degrees)
@@ -269,6 +296,8 @@ def macaulay_resultant(system: MacaulaySystem) -> Scalar:
         value = _det_ratio(*_build_matrix(_integer_forms(substituted, degrees)[0], n, degrees))
         if value is not None:
             return value / (scale * det_t ** math.prod(degrees))
+    if _rank_deficient(forms, n, degrees):
+        return Fraction(0)
     return _pencil_value(*matrix) / scale
 
 

@@ -3,6 +3,7 @@ import math
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,8 +194,22 @@ def test_compare_oracle_after_one_substitution_seed(tmp_path, capsys):
 
 
 def test_compare_oracle_through_the_pencil(tmp_path, capsys):
+    # every retry is stuck on this a3 = 0 cubic; the oracle's 0 comes from
+    # the rank certificate, which runs before the pencil
     path = write_json(tmp_path, "c.json", {"n": 4, "A1": "4", "A2": "-1", "A3": "0"})
     code, out, _ = run_cli(capsys, "compare", path, "--oracle")
+    assert code == 0
+    assert out == '{"boxed": "0", "chain": "unavailable", "oracle": "0", "agree": true}\n'
+
+
+@pytest.mark.parametrize("a1, a2", [("1", "2"), ("0", "9")])
+def test_compare_oracle_n5_zero_by_rank(tmp_path, capsys, a1, a2):
+    # a3 = 0 at n = 5: every retry is stuck and the pencil would take about
+    # 15 s; the rank certificate answers
+    path = write_json(tmp_path, "c.json", {"n": 5, "A1": a1, "A2": a2, "A3": "0"})
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "compare", path, "--oracle")
+    assert time.perf_counter() - start < 3.0
     assert code == 0
     assert out == '{"boxed": "0", "chain": "unavailable", "oracle": "0", "agree": true}\n'
 

@@ -18,6 +18,7 @@ from symres.oracle import (
     _candidate_pairs,
     _integer_forms,
     _pencil_value,
+    _rank_deficient,
     check_macaulay_size,
     det_bareiss,
     det_rational,
@@ -148,7 +149,8 @@ def test_block_triangular_det_matches_dense_on_macaulay_strata(n, stratum):
     for rows in macaulay_matrices(sc):
         value = det_bareiss(rows)
         assert value == dense_det(rows)
-        # a row and column permuted copy changes the value by both signs
+        # a row and column permuted copy moves each row's nonzero span and
+        # forces other pivot swaps; the value changes by both signs
         size = len(rows)
         p, q = rng.sample(range(size), size), rng.sample(range(size), size)
         permuted = [[rows[p[i]][q[j]] for j in range(size)] for i in range(size)]
@@ -166,17 +168,19 @@ def test_block_triangular_det_matches_dense_random_sparse():
 
 
 def test_det_of_singular_and_block_triangular_patterns():
-    # rows 0 and 1 only reach column 0: no perfect matching
+    # rows 0 and 1 only reach column 0: once one is the pivot, the other
+    # becomes a zero row
     assert det_bareiss([[5, 0, 0], [7, 0, 0], [1, 2, 3]]) == 0
     assert det_bareiss([[0, 0], [0, 0]]) == 0
-    # block upper triangular with diagonal blocks {0, 1} and {2, 3, 4}
+    # rows 0 and 1 are zero right of column 1; in the first case step 0
+    # turns row 1 into a zero row, leaving fewer nonzero rows than columns
     tail = [[1, 0, 1, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]
     assert det_bareiss([[1, 2, 0, 0, 0], [2, 4, 0, 0, 0]] + tail) == 0
     assert det_bareiss([[1, 2, 0, 0, 0], [3, 4, 0, 0, 0]] + tail) == -4
 
 
 def test_lower_bidiagonal_det_is_the_diagonal_product():
-    # 3,000 one-entry blocks: the graph search runs on explicit stacks
+    # 3,000 rows of span two: step k updates row k + 1 alone, over one column
     n = 3000
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -191,8 +195,9 @@ def test_lower_bidiagonal_det_is_the_diagonal_product():
 
 @pytest.mark.parametrize("n", [6, 3000])
 def test_det_whose_only_matching_needs_one_long_augmenting_path(n):
-    # rows 1..n-1 match their diagonal first; row 0 reaches only column 1,
-    # so its augmenting path shifts every row i to column i + 1 (mod n)
+    # column 0 is nonzero only in row n - 1, so step 0 swaps it to the top
+    # and updates no row; row 0, nonzero in column 1 only, takes its place,
+    # and each later step k pivots on row k and updates that last row alone
     rows = [[0] * n for _ in range(n)]
     rows[0][1] = 1
     for i in range(1, n):
@@ -247,6 +252,61 @@ def test_bareiss_kernel_singular_only_after_a_catch_up():
     assert det_bareiss(rows) == dense_det(rows) == 0
     rows[3][3] = 3
     assert det_bareiss(rows) == dense_det(rows) != 0
+
+
+def fraction_rank(rows):
+    """Reference rank: Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col] / m[rank][col]
+            m[i] = [x - factor * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_tall_bareiss_is_zero_iff_rank_deficient():
+    rng = random.Random(62)
+    deficient = 0
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        m = n + rng.randint(0, 8)
+        density = rng.choice([0.05, 0.1, 0.2, 0.35, 0.6, 1.0])
+
+        def entry():
+            return rng.randint(-5, 5) if rng.random() < density else 0
+        if rng.random() < 0.4:
+            # an m x r times r x n product has rank at most r < n
+            r = rng.randint(0, n - 1)
+            left = [[entry() for _ in range(r)] for _ in range(m)]
+            right = [[entry() for _ in range(n)] for _ in range(r)]
+            rows = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)]
+                    for i in range(m)]
+        else:
+            rows = [[entry() for _ in range(n)] for _ in range(m)]
+        given = [row[:] for row in rows]
+        value = det_bareiss(rows)
+        assert rows == given
+        assert (value == 0) == (fraction_rank(rows) < n)
+        if m == n:
+            assert value == dense_det(rows)
+        deficient += value == 0
+    assert 150 < deficient < 450
+
+
+def test_tall_bareiss_drops_zero_rows():
+    # step 0 zeroes row 1, which is dropped; row 2 takes its place to pivot
+    # column 1
+    assert det_bareiss([[1, 2], [2, 4], [0, 3]]) != 0
+    # fewer nonzero rows than columns, before any step
+    assert det_bareiss([[0, 0, 0], [0, 0, 0], [1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+    # three nonzero rows left for two columns, but none reaches column 1
+    assert det_bareiss([[1, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 3]]) == 0
 
 
 # -- Macaulay resultant ------------------------------------------------------------
@@ -326,7 +386,8 @@ def test_macaulay_system_validation():
 
 def test_macaulay_pencil_resolves_positive_dimensional_zero_locus():
     # a3 = 0 at n = 4: the common zeros form a curve, so every substitution
-    # leaves the denominator minor singular and the pencil must take over.
+    # leaves the denominator minor singular; the full Macaulay matrix is
+    # rank deficient, which answers 0 before the pencil.
     sc = SymmetricCubic(4, 4, -1, 0)
     system = MacaulaySystem.from_forms(sc.gradient_system())
     assert macaulay_resultant(system) == 0
@@ -399,32 +460,68 @@ def test_macaulay_pencil_matches_sylvester_mixed_degrees():
         assert value == sylvester_resultant(*forms)
 
 
-@pytest.mark.parametrize("forms, degrees, value, substitutions, pencil", [
-    (SymmetricCubic(3, 1, -3, 3).gradient_system(), (2, 2, 2), 531441, 0, 0),
-    (SymmetricCubic(3, 0, 1, 1).gradient_system(), (2, 2, 2), -2160, 3, 0),
-    (SymmetricCubic(4, 4, -1, 0).gradient_system(), (2, 2, 2, 2), 0, 24, 1),
+# R != 0, yet every retry is stuck. Here det(M') is
+# F_1(t_1) * (F_1(t_1) * F_2(t_2) - F_1(t_2) * F_2(t_1)), t_j the j-th column
+# of the transform (the identity for the direct ratio): F_1 vanishes at t_1
+# for the direct ratio and seeds 1..5, and F_2 clears the bracket for seeds
+# 6..8. sympy's MacaulayResultant gives the same value (test_oracle_sympy).
+PENCIL_FORMS = (
+    MultiPoly(3, {(1, 1, 0): 1, (0, 2, 0): -1, (1, 0, 1): -3, (0, 0, 2): 3}),
+    MultiPoly(3, {(2, 0, 0): -1, (1, 1, 0): 12, (0, 2, 0): -14, (1, 0, 1): 1, (0, 1, 1): 2}),
+    MultiPoly(3, {(2, 0, 0): 1, (1, 1, 0): 2, (1, 0, 1): -1, (0, 1, 1): 3, (0, 0, 2): 1}),
+)
+
+
+@pytest.mark.parametrize("forms, degrees, value, substitutions, rank, pencil", [
+    (SymmetricCubic(3, 1, -3, 3).gradient_system(), (2, 2, 2), 531441, 0, 0, 0),
+    (SymmetricCubic(3, 0, 1, 1).gradient_system(), (2, 2, 2), -2160, 3, 0, 0),
+    (SymmetricCubic(4, 4, -1, 0).gradient_system(), (2, 2, 2, 2), 0, 24, 1, 0),
+    (PENCIL_FORMS, (2, 2, 2), 56523852, 24, 1, 1),
     (configuratrix_system(MetricFunction(SymmetricCubic(3, 1, -3, 3)),
                           Momentum.of([1, 2, 3])),
-     (3, 2, 2, 2), 5255863844195018220057, 20, 0),
-], ids=["direct", "one-seed", "pencil", "configuratrix-five-seeds"])
-def test_macaulay_strategy_pins(monkeypatch, forms, degrees, value, substitutions, pencil):
+     (3, 2, 2, 2), 5255863844195018220057, 20, 0, 0),
+], ids=["direct", "one-seed", "rank", "pencil", "configuratrix-five-seeds"])
+def test_macaulay_strategy_pins(monkeypatch, forms, degrees, value, substitutions, rank,
+                                pencil):
     # the direct ratio, then seeds 1..8 (one substitute_linear per form and
-    # usable seed), then the pencil
-    calls = {"substitute_linear": 0, "pencil": 0}
+    # usable seed), then the full-matrix rank certificate, then the pencil
+    calls = {"substitute_linear": 0, "rank": 0, "pencil": 0}
     substitute_linear = MultiPoly.substitute_linear
 
     def counted_substitute(self, matrix):
         calls["substitute_linear"] += 1
         return substitute_linear(self, matrix)
 
+    def counted_rank(*system):
+        calls["rank"] += 1
+        return _rank_deficient(*system)
+
     def counted_pencil(*matrix):
         calls["pencil"] += 1
         return _pencil_value(*matrix)
 
     monkeypatch.setattr(MultiPoly, "substitute_linear", counted_substitute)
+    monkeypatch.setattr(symres.oracle, "_rank_deficient", counted_rank)
     monkeypatch.setattr(symres.oracle, "_pencil_value", counted_pencil)
     assert macaulay_resultant(MacaulaySystem(tuple(forms), degrees)) == value
-    assert calls == {"substitute_linear": substitutions, "pencil": pencil}
+    assert calls == {"substitute_linear": substitutions, "rank": rank, "pencil": pencil}
+
+
+def gradient_rank_deficient(sc):
+    forms, _ = _integer_forms(sc.gradient_system(), [2] * sc.n)
+    return _rank_deficient(forms, sc.n, [2] * sc.n)
+
+
+# The other n = 5 strata take 0.5-3.3 s each on their 350 x 210 matrices (full
+# rank, or for b1 = 0 deficient only late), so they are left out of this suite.
+@pytest.mark.parametrize("sc", [
+    *(sc for n in (3, 4) for sc in stratum_cubics(n).values()),
+    stratum_cubics(5)["a3-zero"],
+    SymmetricCubic(5, 0, 9, 0),
+    SymmetricCubic(5, 1, -3, 3),
+], ids=lambda sc: f"{sc.n}:{sc.a1},{sc.a2},{sc.a3}")
+def test_rank_certificate_iff_closed_form_vanishes(sc):
+    assert gradient_rank_deficient(sc) == (closed_form_resultant(sc).canonical_value == 0)
 
 
 RATIONAL_DIRECT = SymmetricCubic(3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))

@@ -11,7 +11,7 @@ from symres.closedform import closed_form_resultant  # noqa: E402
 from symres.oracle import MacaulaySystem, macaulay_resultant  # noqa: E402
 from symres.symcubic import SymmetricCubic  # noqa: E402
 
-from test_oracle import stratum_cubics  # noqa: E402
+from test_oracle import PENCIL_FORMS, stratum_cubics  # noqa: E402
 
 
 def sympy_resultant(forms):
@@ -59,3 +59,11 @@ def test_sympy_macaulay_equals_oracle_and_closed_form(name):
     assert value == closed_form_resultant(sc).canonical_value
     if name == "anchor":
         assert value == 531441
+
+
+def test_sympy_macaulay_equals_oracle_through_the_pencil():
+    # every retry is stuck and the full matrix has full rank, so the
+    # oracle's value comes from the pencil
+    value = sympy_resultant(PENCIL_FORMS)
+    assert value == 56523852
+    assert value == macaulay_resultant(MacaulaySystem.from_forms(PENCIL_FORMS))
