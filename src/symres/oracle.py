@@ -319,73 +319,58 @@ class RootWitness:
     pattern: Optional[tuple[int, Coordinate, Coordinate]]
 
 
-def _pattern_equations(sc: SymmetricCubic, k: int):
-    """Representative gradient forms on points with k coords t and n-k coords u.
-
-    By symmetry the n gradient equations collapse to at most two binary
-    quadratics (p, q, r) in (t, u): the value at a t-slot and at a u-slot,
-    read off their values at (t, u) = (1, 0), (0, 1) and (1, 1).
-    """
-    n = sc.n
-    values = []
-    for t, u in ((1, 0), (0, 1), (1, 1)):
-        s1 = k * t + (n - k) * u
-        s2 = math.comb(k, 2) * t * t + k * (n - k) * t * u + math.comb(n - k, 2) * u * u
-        form = sc.gradient_given(s1, s2)
-        values.append((form(t), form(u)))
-    eqs = []
-    for slot, present in ((0, k > 0), (1, k < n)):
-        if present:
-            p, r, whole = (v[slot] for v in values)
-            eqs.append((p, whole - p - r, r))
-    return eqs
-
-
-def _candidate_pairs(eqs) -> list[tuple[Fraction, Fraction]]:
-    """The rational candidate (t, u) of one pattern's slot equations, checked
-    by evaluation: at most one pair, or (1, 0) and (0, 1) when every
-    equation vanishes identically.
-
-    Every slot equation is a3*z^2 - c*s1*z + K at z = t or z = u, so two
-    slots differ by (t - u)*(alpha*t + beta*u), where alpha = p_t - p_u =
-    a3 - c*k and beta = r_u - r_t = a3 - c*(n-k). Off t = u (the all-equal
-    point, which k = 0 returns whenever it solves) the candidate is the root
-    of alpha*t + beta*u. With alpha = beta = 0, or one slot, the equation
-    is a square: 3*a1*s1^2 when a3 = c = 0, a multiple of (t + u)^2 when
-    n = 2k and a3 = c*k, G*u^2 at k = 0 and G*t^2 at k = n. Its root is
-    (-q/2p, 1), or (1, 0) when p = 0.
-    """
-    one, zero = Fraction(1), Fraction(0)
-    if not any(c for eq in eqs for c in eq):
-        return [(one, zero), (zero, one)]
-    (p, q, r), (p_u, _, r_u) = eqs[0], eqs[-1]
-    a, b = p - p_u, r_u - r
-    if not (a or b):
-        a, b = p, q / 2
-    t, u = (-b / a, one) if a else (one, zero)
-    if all(e_p * t * t + e_q * t * u + e_r * u * u == 0 for e_p, e_q, e_r in eqs):
-        return [(t, u)]
-    return []
-
-
 def root_witness(sc: SymmetricCubic) -> Optional[RootWitness]:
     """Find a nontrivial common root of the gradient system, if any.
 
-    Search order: two-value patterns for k = 0..n (k coordinates t, the rest
-    u). A pattern has at most one candidate, rational and scaled to u = 1,
-    else (1, 0): the root of the linear factor by which its two slot
-    equations differ, or of their common square (_candidate_pairs). The
-    first candidate that solves every slot at a nonzero point is returned.
+    Two-value patterns come first: k coordinates t, the rest u. Every
+    gradient form is a3*z^2 - c*s1*z + K at z = t or z = u (c = a2 + a3),
+    so the two slots differ by (t - u)*(alpha*t + beta*u), alpha = a3 - c*k,
+    beta = a3 - c*(n-k). So pattern k has one candidate: at k = 0 the
+    all-equal point (0, 1); else the root of alpha*t + beta*u, which is
+    (-beta/alpha, 1), or (1, 0) when alpha = 0. With alpha = beta = 0 both
+    slots are one square, of s1 (a3 = c = 0) or of t + u (n = 2k), and the
+    candidate is the s1 = 0 point ((k-n)/k, 1); were the square 0, k = 0
+    would already solve. k = n adds no root.
+    No k is searched. The t-slot P(k) at (-beta, alpha) is linear in
+    m = (n-2k)^2; read at k = 0 and k = 1, it vanishes at k >= 1 first at
+    k = (n - r)/2 for the integer r with r^2 = m, or everywhere (then
+    k = 1). The candidate at k = 0, then at that k, is returned when it
+    solves every slot.
     When that finds nothing and a3 = 0, the family s1 = s2 = 0 always
     contains a root: (1, w, conj(w), 0, ..., 0) with w a primitive cube root
     of unity.
     Returns None exactly when the canonical resultant is nonzero.
     """
-    n = sc.n
-    for k in range(n + 1):
-        for t, u in _candidate_pairs(_pattern_equations(sc, k)):
-            if (k > 0 and t != 0) or (k < n and u != 0):
-                return RootWitness(point=(t,) * k + (u,) * (n - k), pattern=(k, t, u))
+    n, a3, c = sc.n, sc.a3, sc.a2 + sc.a3
+    one = Fraction(1)
+
+    def slots(k, t, u):
+        """The gradient at a t-slot and a u-slot of (t,)*k + (u,)*(n-k)."""
+        s2 = math.comb(k, 2) * t * t + k * (n - k) * t * u + math.comb(n - k, 2) * u * u
+        form = sc.gradient_given(k * t + (n - k) * u, s2)
+        return form(t), form(u)
+
+    p0 = slots(0, c * n - a3, a3)[0]
+    drop = p0 - slots(1, c * (n - 1) - a3, a3 - c)[0]  # 4*(n-1) times P's slope in m
+    ks = [0]
+    if drop:
+        m = n * n - 4 * (n - 1) * p0 / drop
+        r = math.isqrt(max(m.numerator, 0))
+        if m == r * r and r <= n - 2 and (n - r) % 2 == 0:
+            ks.append((n - r) // 2)
+    elif not p0:
+        ks.append(1)
+    for k in ks:
+        alpha, beta = a3 - c * k, a3 - c * (n - k)
+        if k == 0:
+            t, u = Fraction(0), one
+        elif alpha:
+            t, u = -beta / alpha, one
+        else:
+            t, u = (one, Fraction(0)) if beta else (Fraction(k - n, k), one)
+        at_t, at_u = slots(k, t, u)
+        if at_u == 0 and (k == 0 or at_t == 0):
+            return RootWitness(point=(t,) * k + (u,) * (n - k), pattern=(k, t, u))
     if sc.a3 == 0:
         omega = QuadExt(Fraction(-1, 2), Fraction(1, 2), Fraction(-3))
         zero = QuadExt.lift(0, Fraction(-3))

@@ -293,6 +293,18 @@ def test_witness_s1_zero_for_n4(tmp_path, capsys):
     assert sum(parse_scalar(v) for v in payload["point"]) == 0
 
 
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+def test_witness_at_large_n_takes_no_loop_over_n(tmp_path, n):
+    # the pattern k comes from one linear equation in m = (n - 2k)^2, not
+    # from trying every k, so no work grows with n before null is printed
+    path = write_json(tmp_path, "ps.json", dict(POWER_SUMS, n=n))
+    start = time.perf_counter()
+    proc = run_module("witness", path)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0
+    assert proc.stdout == '{"witness": null}\n'
+
+
 def test_witness_quadratic_extension_rendering(tmp_path, capsys):
     path = write_json(tmp_path, "a3zero.json", {"n": 3, "A1": "1", "A2": "1", "A3": "0"})
     code, out, _ = run_cli(capsys, "witness", path)

@@ -15,7 +15,6 @@ from symres.oracle import (
     MatrixSizeError,
     RootWitness,
     _build_matrix,
-    _candidate_pairs,
     _integer_forms,
     _pencil_value,
     _rank_deficient,
@@ -717,24 +716,27 @@ def test_witness_iff_vanishing_random():
 
 def test_candidate_pairs_read_the_root_off_the_linear_factor():
     one, zero = Fraction(1), Fraction(0)
-    # slots 2t^2 + 4tu and t^2 + 3tu + 2u^2 differ by (t - u)(t + 2u):
-    # alpha = 1, beta = 2, and (-2, 1) solves both
-    assert _candidate_pairs([(Fraction(2), Fraction(4), zero),
-                             (one, Fraction(3), Fraction(2))]) == [(Fraction(-2), one)]
-    # the same difference factor, where (-2, 1) solves neither slot
-    assert _candidate_pairs([(Fraction(2), Fraction(4), one),
-                             (one, Fraction(3), Fraction(3))]) == []
-    # 2tu and tu + u^2 differ by (t - u)*u: alpha = 0, so the root is (1, 0)
-    assert _candidate_pairs([(zero, Fraction(2), zero), (zero, one, one)]) == [(one, zero)]
-    # equal squares 3(t + 2u)^2: the root is (-q/2p, 1)
-    square = (Fraction(3), Fraction(12), Fraction(12))
-    assert _candidate_pairs([square, square]) == [(Fraction(-2), one)]
-    # one slot: G*u^2 at k = 0 gives (1, 0), G*t^2 at k = n gives (0, 1)
-    assert _candidate_pairs([(zero, zero, Fraction(5))]) == [(one, zero)]
-    assert _candidate_pairs([(Fraction(5), zero, zero)]) == [(zero, one)]
-    # every equation vanishes: both unit pairs
-    assert _candidate_pairs([(zero,) * 3, (zero,) * 3]) == [(one, zero), (zero, one)]
-    assert _candidate_pairs([(zero,) * 3]) == [(one, zero), (zero, one)]
+
+    def pattern(n, a1, a2, a3):
+        w = root_witness(SymmetricCubic(n, a1, a2, a3))
+        return w and w.pattern
+
+    # c = -1, k = 1: alpha = 3, beta = 5, and (-5/3, 1) solves both slots
+    assert pattern(4, 0, -3, 2) == (1, Fraction(-5, 3), one)
+    # the power sums: no candidate solves, and a3 != 0 leaves no fallback
+    assert pattern(3, 1, -3, 3) is None
+    # c = 1, k = 1: alpha = 0, so the root is (1, 0)
+    assert pattern(3, 0, 0, 1) == (1, one, zero)
+    # a3 = c = 0: both slots are 3*a1*s1^2, and the root is s1 = 0
+    assert pattern(3, 1, 0, 0) == (1, Fraction(-2), one)
+    # n = 2k, a3 = c*k with every slot vanishing identically (d0-balanced):
+    # t = u = 1 solves pattern k too, so the answer is the all-equal point
+    # at k = 0
+    assert pattern(4, Fraction(1, 4), -1, 2) == (0, zero, one)
+    # n = 2k, a3 = c*k otherwise: one square of t + u, and the root (-1, 1)
+    assert pattern(4, 1, -2, 4) == (2, -one, one)
+    # one slot at k = 0: G*u^2 with G = 0, the all-ones point
+    assert pattern(3, 2, -9, 27) == (0, zero, one)
 
 
 def _from_normalized(n, b1, b2, b3):
@@ -791,6 +793,38 @@ def test_witness_iff_vanishing_on_strata(stratum):
                 assert type(t) is Fraction and type(u) is Fraction
                 assert w.point == (t,) * k + (u,) * (n - k)
     assert found
+
+
+def _pattern_value(sc, k):
+    """P(k): the gradient at a t-slot of the pattern-k point (t,)*k + (u,)*(n-k)
+    at (t, u) = (c*(n-k) - a3, a3 - c*k), c = a2 + a3, the unscaled root of
+    the linear factor alpha*t + beta*u by which its two slots differ."""
+    n, a3 = sc.n, sc.a3
+    c = sc.a2 + a3
+    t, u = c * (n - k) - a3, a3 - c * k
+    s2 = math.comb(k, 2) * t * t + k * (n - k) * t * u + math.comb(n - k, 2) * u * u
+    return sc.gradient_given(k * t + (n - k) * u, s2)(t)
+
+
+def test_closed_form_factors_are_twice_the_pattern_values():
+    # Y_k = 2*P(k) on every stratum at n = 3..12, and past the oracle's
+    # reach on vanishing cubics (their reports are built at any n): the
+    # factors checked by code that shares no formula with the closed form
+    cubics = []
+    for n in range(3, 13):
+        rng = random.Random(f"pattern-law-{n}")
+        strata = ["c0", "a3-zero", "factor-k"] + ["d0-balanced"] * (n % 2 == 0)
+        cubics += [*stratum_cubics(n).values(), SymmetricCubic(n, 1, -3, 3),
+                   SymmetricCubic(n, 0, 0, 1), SymmetricCubic(n, 1, 0, 0),
+                   random_cubic(rng, n, denominators=True)]
+        cubics += [_stratum_cubic(stratum, rng, n) for stratum in strata]
+    for n in (50, 201, 1000):
+        rng = random.Random(f"pattern-law-{n}")
+        strata = ["factor-k"] * 3 + ["a3-zero"] + ["d0-balanced"] * (n % 2 == 0)
+        cubics += [_stratum_cubic(stratum, rng, n) for stratum in strata]
+    for sc in cubics:
+        assert [f.value for f in closed_form_resultant(sc).factors] == [
+            2 * _pattern_value(sc, k) for k in range(sc.n)], sc
 
 
 def test_witness_at_large_n_is_the_first_unit_vector():

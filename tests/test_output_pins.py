@@ -5,7 +5,8 @@ the arguments, the exit code, stdout and stderr. The closed-form digests
 were taken while each factor was still evaluated as a chain of Fraction
 operations, before the integer evaluation over one common denominator; the
 witness digest while each two-value pattern was still solved through exact
-square roots of binary-quadratic discriminants. Any change to a printed
+square roots of binary-quadratic discriminants; the large-n witness digest
+while every pattern k = 0..n was still tried in turn. Any change to a printed
 byte, an exit code or a refusal message changes a digest. The one text left
 out is the interpreter's own int->str message after "answer too large to
 print:", whose wording differs between Python versions.
@@ -21,8 +22,9 @@ from fractions import Fraction
 import pytest
 
 from symres.cli import main
+from symres.symcubic import SymmetricCubic
 
-from test_oracle import _stratum_cubic, stratum_cubics
+from test_oracle import _from_normalized, _stratum_cubic, stratum_cubics
 
 PRINT_LIMIT = re.compile(r"(answer too large to print:)[^\n]*")
 
@@ -161,3 +163,31 @@ def test_witness_reports_are_pinned(tmp_path):
     digest, codes = transcript(tmp_path, calls)
     assert codes == [0] * len(calls)
     assert digest == "98c6e22aa56a3450bcd2fa60d00ad1c683e23ba5effc5e296869cfe0a1eb2630"
+
+
+def large_witness_cubics():
+    """Cubics with planted roots at n = 50, 101, 200 and 1000, where the
+    search may not loop over n: four with Y_k = 0 at a random k, Y_(n/2) = 0
+    at even n, the square families a1*s1^3 and, at even n, a3 = (a2 + a3)*n/2
+    with every slot vanishing (d0-balanced) or not (stratum_cubics' d0), and
+    the rest of stratum_cubics(): the all-ones root (b1 = 0), the a3 = 0
+    fallback and cubics without a witness."""
+    cubics = []
+    for n in (50, 101, 200, 1000):
+        rng = random.Random(f"witness-pin-large-{n}")
+        planted = [_stratum_cubic("factor-k", rng, n) for _ in range(4)]
+        planted += [SymmetricCubic(n, Fraction(-2, 3), 0, 0), *stratum_cubics(n).values()]
+        if n % 2 == 0:
+            b1 = Fraction(rng.randint(1, 9), 7)
+            planted += [_from_normalized(n, b1, Fraction(0), Fraction(-3, 2)),
+                        _stratum_cubic("d0-balanced", rng, n)]
+        cubics += [(n, sc.a1, sc.a2, sc.a3) for sc in planted]
+    return cubics
+
+
+def test_large_n_witness_reports_are_pinned(tmp_path):
+    calls = [("witness", {"n": n, "A1": str(a1), "A2": str(a2), "A3": str(a3)}, [])
+             for n, a1, a2, a3 in large_witness_cubics()]
+    digest, codes = transcript(tmp_path, calls)
+    assert codes == [0] * len(calls)
+    assert digest == "a97f431cfaf86cb03d876b9815e99a4fab46a9a5a5053403fbdb40ac5bd7f4fc"
