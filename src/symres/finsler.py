@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .closedform import ResultantReport, closed_form_resultant
 from .oracle import MacaulaySystem, check_macaulay_size, macaulay_resultant
-from .polycore import MultiPoly, Scalar, ScalarLike
+from .polycore import MultiPoly, Scalar, ScalarLike, _exact
 from .symcubic import SymmetricCubic
 
 DEGENERATE_METRIC_IDENTICALLY_ZERO = "DEGENERATE_METRIC_IDENTICALLY_ZERO"
@@ -39,7 +39,7 @@ class Momentum:
 
     @classmethod
     def of(cls, values: Sequence[ScalarLike]) -> "Momentum":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(tuple(map(_exact, values)))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,20 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Union
 
 #: Exact rational scalar used throughout the library.
 Scalar = Fraction
 
 ScalarLike = Union[Scalar, int]
+
+
+def _exact(value) -> Fraction:
+    """value as a Fraction, refusing a binary float: 0.1 is not 1/10 in binary."""
+    if isinstance(value, float):
+        raise TypeError(f"binary float {value!r} is not exact; pass an int, Fraction or str")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class MatrixSizeError(RuntimeError):
@@ -32,21 +40,13 @@ def grevlex_key(exps: tuple[int, ...]) -> tuple:
 
 
 def monomials_of_degree(num_vars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of the given total degree, largest grevlex first."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, rem: int, cur: list[int]) -> None:
-        if pos == num_vars - 1:
-            out.append(tuple(cur + [rem]))
-            return
-        for v in range(rem, -1, -1):
-            rec(pos + 1, rem - v, cur + [v])
-
-    if num_vars == 0:
-        return [()] if degree == 0 else []
-    rec(0, degree, [])
-    out.sort(key=grevlex_key, reverse=True)
-    return out
+    """All exponent vectors of the given total degree, largest grevlex first:
+    the last exponent ascending, then the same rule on the variables before it."""
+    by_degree = [[()]] + [[] for _ in range(degree)]  # by degree, in the variables so far
+    for _ in range(num_vars):
+        by_degree = [[head + (last,) for last in range(r + 1) for head in by_degree[r - last]]
+                     for r in range(degree + 1)]
+    return by_degree[degree] if degree >= 0 else []
 
 
 class QuadExt:
@@ -60,13 +60,13 @@ class QuadExt:
     __slots__ = ("rational", "radical", "radicand")
 
     def __init__(self, rational: ScalarLike, radical: ScalarLike, radicand: ScalarLike):
-        self.rational = Fraction(rational)
-        self.radical = Fraction(radical)
-        self.radicand = Fraction(radicand)
+        self.rational = _exact(rational)
+        self.radical = _exact(radical)
+        self.radicand = _exact(radicand)
 
     @classmethod
     def lift(cls, value: ScalarLike, radicand: ScalarLike) -> "QuadExt":
-        return cls(Fraction(value), Fraction(0), radicand)
+        return cls(value, 0, radicand)
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
@@ -159,7 +159,7 @@ class MultiPoly:
                         f"exponent vector {exps} has length {len(exps)}, expected {num_vars}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c != 0:
                     clean[tuple(exps)] = c
         self.terms = clean
@@ -169,10 +169,6 @@ class MultiPoly:
     @classmethod
     def zero(cls, num_vars: int) -> "MultiPoly":
         return cls(num_vars)
-
-    @classmethod
-    def constant(cls, num_vars: int, value: ScalarLike) -> "MultiPoly":
-        return cls(num_vars, {(0,) * num_vars: value})
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "MultiPoly":
@@ -188,18 +184,26 @@ class MultiPoly:
         if self.num_vars != other.num_vars:
             raise ValueError("polynomials over different variable counts")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_same_vars(other)
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = merged.get(exps, Fraction(0)) + c
-            if s == 0:
-                merged.pop(exps, None)
-            else:
-                merged[exps] = s
+    def _collect(self, pairs) -> "MultiPoly":
+        """The polynomial summing (exponents, coefficient) pairs, zeros dropped."""
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for exps, c in pairs:
+            prev = acc.get(exps)
+            acc[exps] = c if prev is None else prev + c
         out = MultiPoly.zero(self.num_vars)
-        out.terms = merged
+        out.terms = {e: c for e, c in acc.items() if c != 0}
         return out
+
+    def __add__(self, other) -> "MultiPoly":
+        """Sum with a polynomial, or with an int or Fraction as a constant term."""
+        if isinstance(other, (int, Fraction)):
+            other = MultiPoly(self.num_vars, {(0,) * self.num_vars: other})
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        self._check_same_vars(other)
+        return self._collect(itertools.chain(self.terms.items(), other.terms.items()))
+
+    __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
         out = MultiPoly.zero(self.num_vars)
@@ -215,26 +219,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_vars(other)
-        prod: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = prod.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    prod.pop(e, None)
-                else:
-                    prod[e] = s
-        out = MultiPoly.zero(self.num_vars)
-        out.terms = prod
-        return out
+        return self._collect((tuple(map(add, e1, e2)), c1 * c2)
+                             for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
 
-    def __rmul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, factor: ScalarLike) -> "MultiPoly":
-        f = Fraction(factor)
+        f = _exact(factor)
         out = MultiPoly.zero(self.num_vars)
         if f != 0:
             out.terms = {e: c * f for e, c in self.terms.items()}
@@ -271,22 +262,20 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def eval(self, point):
-        """Exact value at a point of Scalars (or QuadExt values).
+        """Exact value at a point of Scalars, QuadExt values or polynomials.
 
-        Accepts any sequence whose elements support + and * with Fractions,
-        so plain rationals and quadratic-extension coordinates both work.
+        Accepts any sequence whose elements support + and * with Fractions; at
+        MultiPoly coordinates the value is the composed polynomial.
         """
         if len(point) != self.num_vars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.num_vars}")
-        total = None
+        total = Fraction(0)
         for exps, c in self.terms.items():
             term = c
             for x, e in zip(point, exps):
                 for _ in range(e):
                     term = term * x
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
+            total = total + term
         return total
 
     def is_symmetric(self) -> bool:
@@ -304,19 +293,10 @@ class MultiPoly:
         n = self.num_vars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("substitution matrix shape mismatch")
-        images = []
-        for i in range(n):
-            images.append(MultiPoly(
-                n, {tuple(1 if j == k else 0 for k in range(n)): matrix[i][j]
-                    for j in range(n) if matrix[i][j] != 0}))
-        result = MultiPoly.zero(n)
-        for exps, c in self.terms.items():
-            term = MultiPoly.constant(n, c)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * images[i]
-            result = result + term
-        return result
+        images = [MultiPoly(n, {tuple(int(j == k) for k in range(n)): row[j] for j in range(n)})
+                  for row in matrix]
+        # p with no variable evaluates to a scalar; adding it to 0 makes it a polynomial
+        return MultiPoly.zero(n) + self.eval(images)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import MultiPoly, ScalarLike, elem_sym
+from .polycore import MultiPoly, ScalarLike, _exact, elem_sym
 
 
 class TransformationUndefinedError(ValueError):
@@ -66,9 +66,7 @@ class SymmetricCubic:
     def __init__(self, n: int, a1: ScalarLike, a2: ScalarLike, a3: ScalarLike):
         check_dimension(n)
         self.n = n
-        # a Fraction is immutable, so one passed in is kept as it is
-        self.a1, self.a2, self.a3 = (
-            a if type(a) is Fraction else Fraction(a) for a in (a1, a2, a3))
+        self.a1, self.a2, self.a3 = map(_exact, (a1, a2, a3))
         if self.a1 == 0 and self.a2 == 0 and self.a3 == 0:
             raise ValueError("the zero polynomial is not a valid symmetric cubic")
 

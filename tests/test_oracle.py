@@ -15,6 +15,7 @@ from symres.oracle import (
     MatrixSizeError,
     RootWitness,
     _build_matrix,
+    _columns,
     _integer_forms,
     _pencil_value,
     _rank_deficient,
@@ -25,7 +26,7 @@ from symres.oracle import (
     root_witness,
     verify_witness,
 )
-from symres.polycore import MultiPoly, QuadExt
+from symres.polycore import MultiPoly, QuadExt, grevlex_key
 from symres.closedform import closed_form_resultant
 from symres.symcubic import SymmetricCubic
 
@@ -372,6 +373,19 @@ def test_macaulay_size_rule_admits_what_the_routes_run():
         with pytest.raises(MatrixSizeError) as refused:
             check_macaulay_size(degrees)
         assert len(str(refused.value)) < 100
+
+
+@pytest.mark.parametrize("degrees", [(2,) * 3, (2,) * 4, (2,) * 5, (3, 2, 2, 2)])
+def test_columns_are_the_degree_nu_monomials_in_descending_grevlex(degrees):
+    # gradient systems at n = 3..5 and the n = 3 configuratrix; the reference
+    # sorts every exponent vector of degree nu by grevlex_key
+    n = len(degrees)
+    nu, col_index = _columns(n, degrees)
+    assert nu == sum(degrees) - n + 1
+    vectors = [e for e in itertools.product(range(nu + 1), repeat=n) if sum(e) == nu]
+    expected = sorted(vectors, key=grevlex_key, reverse=True)
+    assert col_index == {mono: i for i, mono in enumerate(expected)}
+    assert list(col_index) == expected
 
 
 def test_macaulay_system_validation():

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from symres.cli import parse_scalar
+from symres.finsler import Momentum
 from symres.polycore import (
     MultiPoly,
     QuadExt,
@@ -12,6 +15,7 @@ from symres.polycore import (
     grevlex_key,
     monomials_of_degree,
 )
+from symres.symcubic import SymmetricCubic
 
 
 def random_poly(rng, num_vars, degree, terms=4):
@@ -228,3 +232,117 @@ def test_poly_zero_terms_dropped():
     p = MultiPoly(2, {(1, 0): 0, (0, 1): 2})
     assert p == MultiPoly(2, {(0, 1): 2})
     assert (p - p).is_zero()
+
+
+def test_monomials_come_out_in_descending_grevlex():
+    # the reference: every exponent vector of the degree, sorted by grevlex_key
+    for n in range(7):
+        for d in range(8):
+            vectors = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+            assert monomials_of_degree(n, d) == sorted(vectors, key=grevlex_key, reverse=True)
+
+
+# -- substitution -------------------------------------------------------------
+
+def substitute_term_by_term(p, matrix):
+    """x_i -> sum_j m[i][j] x_j, expanded one term at a time and summed: the
+    reference substitute_linear is checked against."""
+    n = p.num_vars
+    images = [MultiPoly(n, {tuple(int(j == k) for k in range(n)): matrix[i][j]
+                            for j in range(n) if matrix[i][j] != 0}) for i in range(n)]
+    result = MultiPoly.zero(n)
+    for exps, c in p.terms.items():
+        term = MultiPoly(n, {(0,) * n: c})
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = term * images[i]
+        result = result + term
+    return result
+
+
+def seeded_substitutions(seed, count):
+    """(p, matrix) pairs over n = 1..4: zero and constant-term polynomials,
+    and random, zero-row, singular and rational matrices."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 1 + k % 4
+        p = random_poly(rng, n, rng.randint(0, 4), terms=rng.randint(0, 5))
+        matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        kind = k % 5
+        if kind == 1:
+            matrix[rng.randrange(n)] = [0] * n
+        elif kind == 2:
+            i, j = rng.randrange(n), rng.randrange(n)
+            matrix[i] = [rng.randint(-2, 2) * x for x in matrix[j]]
+        elif kind == 3:
+            matrix = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                      for _ in range(n)]
+        yield p, matrix
+
+
+def test_substitution_matches_the_term_by_term_expansion():
+    seen = collections.Counter()
+    for p, matrix in seeded_substitutions(1701, 320):
+        got = p.substitute_linear(matrix)
+        assert got == substitute_term_by_term(p, matrix)
+        assert got.num_vars == p.num_vars
+        assert all(type(c) is Fraction for c in got.terms.values())
+        seen["n=1"] += p.num_vars == 1
+        seen["zero p"] += p.is_zero()
+        seen["constant term"] += p.coefficient((0,) * p.num_vars) != 0
+        seen["zero result"] += got.is_zero() and not p.is_zero()
+        seen["zero row"] += any(not any(row) for row in matrix)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_substitution_composes():
+    # p(A x) under x -> B x is p(A B x)
+    batch = list(seeded_substitutions(1702, 120))
+    for (p, a), (_, b) in zip(batch, batch[4:]):
+        n = p.num_vars
+        ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert p.substitute_linear(a).substitute_linear(b) == p.substitute_linear(ab)
+
+
+def test_substitution_of_a_constant_is_the_constant():
+    p = MultiPoly(3, {(0, 0, 0): Fraction(-2, 3)})
+    for matrix in ([[0] * 3] * 3, [[1, 2, 0], [0, 1, 0], [4, 0, 1]]):
+        assert p.substitute_linear(matrix) == p
+    assert MultiPoly.zero(2).substitute_linear([[1, 1], [1, 1]]).is_zero()
+    with pytest.raises(ValueError):
+        p.substitute_linear([[1, 0, 0], [0, 1, 0]])
+
+
+def test_scalar_adds_as_a_constant_term_in_either_order():
+    x = MultiPoly.variable(2, 0)
+    expected = MultiPoly(2, {(1, 0): 1, (0, 0): Fraction(1, 2)})
+    assert x + Fraction(1, 2) == Fraction(1, 2) + x == expected
+    assert 3 + x - 3 == x == x + 0
+    assert x + 1 - x == MultiPoly(2, {(0, 0): 1})
+    with pytest.raises(TypeError):
+        x + QuadExt(1, 1, 2)
+    with pytest.raises(TypeError):
+        QuadExt(1, 1, 2) + x
+    with pytest.raises(TypeError):
+        x + 0.5
+
+
+def test_constructors_refuse_binary_floats():
+    # 0.1 is not 1/10 in binary: a float would put 3602879701896397/2^55
+    # into a resultant. Exact strings are read as written.
+    refused = [
+        lambda: SymmetricCubic(3, 0.1, 0, 1),
+        lambda: Momentum.of([0.1, 0, 0]),
+        lambda: MultiPoly(2, {(1, 0): 0.1}),
+        lambda: QuadExt(0.1, 1, 2),
+        lambda: QuadExt.lift(0.1, 2),
+        lambda: MultiPoly.variable(2, 0).scale(0.1),
+        lambda: MultiPoly.variable(2, 0) * 0.1,
+    ]
+    for build in refused:
+        with pytest.raises(TypeError, match="float"):
+            build()
+    assert SymmetricCubic(3, "1/3", 0, 1).a1 == Fraction(1, 3)
+    assert Momentum.of(["1/10", 0, 0]).y[0] == Fraction(1, 10)
+    assert MultiPoly(1, {(1,): "1/3"}).coefficient((1,)) == Fraction(1, 3)
+    assert QuadExt("1/2", 1, 2).rational == Fraction(1, 2)
