@@ -14,13 +14,15 @@ Exit codes: 0 success; 1 routes disagree (compare only); 2 malformed input;
 3 vanishing resultant (closed only); 4 resource guard tripped or memory
 exhausted, or an answer too large to print. All numbers in JSON payloads
 are decimal strings so exactness survives any JSON parser. This module owns
-the wire format: every JSON read and write, and the scalar syntax.
+the JSON formats; scalars follow `polycore.parse_scalar`, as in the library.
+Each command returns its output text and exit code, and `main` writes it.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import repeat
 from typing import Optional
@@ -39,7 +41,7 @@ from .oracle import (
     macaulay_resultant,
     root_witness,
 )
-from .polycore import MatrixSizeError, QuadExt
+from .polycore import MatrixSizeError, QuadExt, parse_scalar
 from .symcubic import SymmetricCubic, TransformationUndefinedError, check_dimension
 
 EXIT_OK = 0
@@ -59,23 +61,9 @@ def _read_json(path: Optional[str]):
         return json.load(fh)
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse a rational from "num/den" or "num" (ASCII decimal strings)."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"not an ASCII decimal rational: {text!r}")
-    s = text.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
 def read_cubic(data: dict) -> SymmetricCubic:
     """The cubic of {"n": int, "A1": "rat", "A2": "rat", "A3": "rat"}."""
-    return SymmetricCubic(data["n"], *(parse_scalar(str(data[key]))
-                                       for key in ("A1", "A2", "A3")))
+    return SymmetricCubic(data["n"], *(str(data[key]) for key in ("A1", "A2", "A3")))
 
 
 def read_momentum(data: dict) -> Momentum:
@@ -83,7 +71,7 @@ def read_momentum(data: dict) -> Momentum:
     values = data["y"]
     if type(values) is not list:
         raise ValueError(f"y must be a JSON list, got {values!r}")
-    return Momentum(tuple(parse_scalar(str(v)) for v in values))
+    return Momentum.of([str(v) for v in values])
 
 
 def json_line(payload) -> str:
@@ -94,14 +82,6 @@ def json_line(payload) -> str:
         return _ENCODER.encode(payload) + "\n"
     except ValueError as exc:
         raise MatrixSizeError(f"answer too large to print: {exc}") from None
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def report_json(report: ResultantReport) -> dict:
@@ -129,15 +109,14 @@ def witness_json(witness: Optional[RootWitness]) -> dict:
     }
 
 
-def cmd_closed(args) -> int:
+def cmd_closed(args) -> tuple[str, int]:
     report = closed_form_resultant(read_cubic(_read_json(args.input)))
     payload = report_json(report)
     payload["value"] = payload["paper"] if args.paper_normalization else payload["canonical"]
-    _emit(json_line(payload), args.out)
-    return EXIT_VANISHES if report.vanishes else EXIT_OK
+    return json_line(payload), EXIT_VANISHES if report.vanishes else EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[str, int]:
     cubic = read_cubic(_read_json(args.input))
     if args.oracle:
         check_macaulay_size(repeat(2, cubic.n))
@@ -154,14 +133,11 @@ def cmd_compare(args) -> int:
         values.append(oracle)
     agree = all(v == values[0] for v in values)
     payload = {"boxed": report.canonical_value, "chain": chain, "oracle": oracle, "agree": agree}
-    _emit(json_line(payload), args.out)
-    return EXIT_OK if agree else 1
+    return json_line(payload), EXIT_OK if agree else 1
 
 
-def cmd_witness(args) -> int:
-    cubic = read_cubic(_read_json(args.input))
-    _emit(json_line(witness_json(root_witness(cubic))), args.out)
-    return EXIT_OK
+def cmd_witness(args) -> tuple[str, int]:
+    return json_line(witness_json(root_witness(read_cubic(_read_json(args.input))))), EXIT_OK
 
 
 def _parse_range(spec: dict) -> tuple[Fraction, Fraction, int]:
@@ -177,7 +153,7 @@ def _parse_range(spec: dict) -> tuple[Fraction, Fraction, int]:
     return start, step, count
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     spec = _read_json(args.input)
     n = spec["n"]
     check_dimension(n)
@@ -196,17 +172,15 @@ def cmd_sweep(args) -> int:
             report = closed_form_resultant(SymmetricCubic(n, a1, a2, a3))
             lines.append(json_line({"A1": a1, "A2": a2, "canonical": report.canonical_value,
                                      "vanishes": report.vanishes}))
-    _emit("".join(lines), args.out)
-    return EXIT_OK
+    return "".join(lines), EXIT_OK
 
 
-def cmd_configuratrix(args) -> int:
+def cmd_configuratrix(args) -> tuple[str, int]:
     metric = MetricFunction(read_cubic(_read_json(args.metric)))
     result = configuratrix_resultant(metric, read_momentum(_read_json(args.momentum)))
     payload = {"resultant": result.value, "vanishes": result.vanishes,
                "diagnostic": result.diagnostic}
-    _emit(json_line(payload), args.out)
-    return EXIT_OK
+    return json_line(payload), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            fh.write(text)
+        return code
     except (MatrixSizeError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc) or "out of memory"}) + "\n")
         return EXIT_GUARD

@@ -19,7 +19,7 @@ from itertools import compress
 from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
-from .polycore import MatrixSizeError, MultiPoly, QuadExt, Scalar, monomials_of_degree
+from .polycore import MatrixSizeError, MultiPoly, QuadExt, Scalar, _exact, monomials_of_degree
 from .symcubic import SymmetricCubic
 
 #: Size budget for a Macaulay matrix, in entries.
@@ -381,7 +381,7 @@ def root_witness(sc: SymmetricCubic) -> Optional[RootWitness]:
 
 def verify_witness(sc: SymmetricCubic, witness: RootWitness) -> bool:
     """True iff the point is nonzero and every gradient form vanishes there."""
-    point = witness.point
+    point = [x if isinstance(x, QuadExt) else _exact(x) for x in witness.point]
     if len(point) != sc.n or all(x == 0 for x in point):
         return False
     s1 = sum(point)

@@ -17,11 +17,27 @@ Scalar = Fraction
 ScalarLike = Union[Scalar, int]
 
 
+def parse_scalar(text: str) -> Fraction:
+    """Parse a rational from "num/den" or "num" (ASCII decimal strings)."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII decimal rational: {text!r}")
+    s = text.strip()
+    if "/" in s:
+        num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(num), int(den))
+    return Fraction(int(s))
+
+
 def _exact(value) -> Fraction:
-    """value as a Fraction, refusing a binary float: 0.1 is not 1/10 in binary."""
+    """value as a Fraction, refusing a binary float: 0.1 is not 1/10 in binary.
+    A str is read by `parse_scalar`, the CLI's syntax, so "0.5" or "1e3" fails."""
     if isinstance(value, float):
         raise TypeError(f"binary float {value!r} is not exact; pass an int, Fraction or str")
-    return value if type(value) is Fraction else Fraction(value)
+    if type(value) is Fraction:
+        return value
+    return parse_scalar(value) if isinstance(value, str) else Fraction(value)
 
 
 class MatrixSizeError(RuntimeError):
@@ -213,6 +229,9 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
+    def __rsub__(self, other) -> "MultiPoly":
+        return -self + other
+
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -264,11 +283,12 @@ class MultiPoly:
     def eval(self, point):
         """Exact value at a point of Scalars, QuadExt values or polynomials.
 
-        Accepts any sequence whose elements support + and * with Fractions; at
-        MultiPoly coordinates the value is the composed polynomial.
+        Any other coordinate is read as a scalar, so a float raises TypeError;
+        at MultiPoly coordinates the value is the composed polynomial.
         """
         if len(point) != self.num_vars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.num_vars}")
+        point = [x if isinstance(x, (QuadExt, MultiPoly)) else _exact(x) for x in point]
         total = Fraction(0)
         for exps, c in self.terms.items():
             term = c

@@ -94,8 +94,8 @@ class SymmetricCubic:
         """The map x -> dS/dx_i at a point with coordinate x_i = x, given that
         point's s1 and s2: a3*x^2 - (a2+a3)*x*s1 + (3a1+a2)*s1^2 + (a2+a3)*s2.
 
-        Works over Fraction, QuadExt and MultiPoly alike; the part shared by
-        all n forms is computed once, here.
+        Takes exact values only (Fraction, QuadExt or MultiPoly); the part
+        shared by all n forms is computed once, here.
         """
         c = self.a2 + self.a3
         cross = s1 * c

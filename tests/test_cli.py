@@ -517,6 +517,31 @@ def test_configuratrix_dimension_guard(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (("closed", POWER_SUMS), 0),
+    (("closed", PURE_S3), 3),
+    (("closed", POWER_SUMS, "--paper-normalization"), 0),
+    (("compare", POWER_SUMS), 0),
+    (("compare", PURE_S3, "--oracle"), 0),
+    (("witness", PURE_S3), 0),
+    (("witness", POWER_SUMS), 0),
+    (("configuratrix", POWER_SUMS, {"y": ["1", "0", "0"]}), 0),
+    (("configuratrix", POWER_SUMS, {"y": ["2", "1/3", "-1"]}), 0),
+    (("sweep", SWEEP_3X3), 0),
+], ids=["closed", "closed-vanishing", "closed-paper", "compare", "compare-oracle",
+        "witness", "witness-null", "configuratrix", "configuratrix-generic", "sweep"])
+def test_out_file_holds_the_bytes_stdout_shows(tmp_path, capsys, argv, expected_code):
+    argv = [write_json(tmp_path, f"in{i}.json", arg) if isinstance(arg, dict) else arg
+            for i, arg in enumerate(argv)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (expected_code, "")
+    assert out
+    out_path = tmp_path / "out.json"
+    assert run_cli(capsys, *argv, "--out", str(out_path)) == (code, "", "")
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
 # -- process-level smoke test --------------------------------------------------------
 
 def test_module_entry_point_runs(tmp_path):

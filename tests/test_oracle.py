@@ -689,6 +689,16 @@ def test_verify_witness_examples():
         RootWitness(point=(Fraction(2), Fraction(-1), Fraction(5)), pattern=None))
 
 
+def test_verify_witness_refuses_float_coordinates():
+    # (-5/2, 1, 1) is a root; in floats the coefficients 1/3 and 1/6 are
+    # rounded and the check said False
+    sc = SymmetricCubic(3, 2, Fraction(1, 3), Fraction(1, 6))
+    assert verify_witness(sc, RootWitness(point=(Fraction(-5, 2), 1, 1), pattern=None))
+    assert verify_witness(sc, RootWitness(point=("-5/2", 1, 1), pattern=None))
+    with pytest.raises(TypeError, match="float"):
+        verify_witness(sc, RootWitness(point=(-2.5, 1.0, 1.0), pattern=None))
+
+
 def test_witness_in_quadratic_extension_verifies():
     # a3 = 0 with a2 != 0: the only root family is s1 = s2 = 0, which lives
     # in Q(sqrt(-3))

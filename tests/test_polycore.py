@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -346,3 +347,49 @@ def test_constructors_refuse_binary_floats():
     assert Momentum.of(["1/10", 0, 0]).y[0] == Fraction(1, 10)
     assert MultiPoly(1, {(1,): "1/3"}).coefficient((1,)) == Fraction(1, 3)
     assert QuadExt("1/2", 1, 2).rational == Fraction(1, 2)
+
+
+def test_scalar_subtracts_on_either_side():
+    x = MultiPoly.variable(2, 0)
+    assert 1 - x == -(x - 1)
+    assert Fraction(1, 2) - x == MultiPoly(2, {(1, 0): -1, (0, 0): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        0.5 - x
+
+
+def test_evaluation_points_refuse_binary_floats():
+    # in floats 0.1 + 0.2 is 0.30000000000000004; exact coordinates are read
+    # as written
+    with pytest.raises(TypeError, match="float"):
+        elem_sym(2, 1).eval([0.1, 0.2])
+    assert elem_sym(2, 1).eval(["1/10", "1/5"]) == Fraction(3, 10)
+    assert elem_sym(2, 1).eval([1, Fraction(1, 2)]) == Fraction(3, 2)
+
+
+def test_library_and_cli_read_every_string_the_same_way():
+    # every constructor reads a str through the CLI's scalar syntax: the same
+    # Fraction, or a ValueError from both
+    read = [
+        lambda s: SymmetricCubic(3, s, 0, 1).a1,
+        lambda s: Momentum.of([s]).y[0],
+        lambda s: MultiPoly(1, {(1,): s}).coefficient((1,)),
+        lambda s: QuadExt(s, 0, 2).rational,
+    ]
+    valid = {"+3": 3, " 3 ": 3, "1/-2": Fraction(-1, 2), "-7/4": Fraction(-7, 4), "0": 0}
+    for text, value in valid.items():
+        assert parse_scalar(text) == value
+        assert [build(text) for build in read] == [value] * len(read)
+    for text in ("0.5", "1e3", "1_0", "\u0663", "\u00a03", "3/", "/3", "1/0", "x"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+        for build in read:
+            with pytest.raises(ValueError):
+                build(text)
+
+
+def test_an_exponent_string_is_refused_at_once():
+    # Fraction("1e10000000") would build a 33-Mbit integer first
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        SymmetricCubic(3, "1e10000000", 0, 1)
+    assert time.perf_counter() - start < 1
