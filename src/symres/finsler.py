@@ -8,7 +8,12 @@ Two solvability questions reduce to resultants:
 * configuratrix membership: a momentum vector y lies on the configuratrix
   (the L = 1 surface in conjugate coordinates y_i = dL/dx_i) exactly when the
   inhomogeneous system {S = 1, dS/dx_i = 3*y_i} is solvable, detected by a
-  vanishing Macaulay resultant of its homogenization.
+  vanishing resultant of its homogenization (``configuratrix_system``, n+1
+  forms in n+1 variables). The resultant rules reduce that to
+  R(grad S)^2 times the resultant of n quadrics in n variables, a 15x15
+  Macaulay matrix at n = 3 in place of the homogenized system's 84x84 (see
+  ``configuratrix_resultant``); the homogenized system stays as the tests'
+  independent oracle.
 """
 from __future__ import annotations
 
@@ -83,7 +88,7 @@ def configuratrix_system(m: MetricFunction, y: Momentum) -> list[MultiPoly]:
 
 
 def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResult:
-    """Macaulay resultant of the homogenized configuratrix system.
+    """Resultant of the homogenized configuratrix system, exact.
 
     Zero exactly when the momentum is attainable or when the homogenized
     system has roots at infinity. The latter happens for every y precisely
@@ -91,17 +96,36 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResu
     3*S = sum x_i * dS/dx_i, a common zero of the gradients lies on S = 0),
     so that case short-circuits to 0 with a diagnostic instead of running an
     exact determinant whose answer is forced. A momentum of the wrong length
-    raises ValueError first, degenerate or not; then systems over the
-    oracle's size budget (n >= 4) raise MatrixSizeError.
+    raises ValueError first, degenerate or not; then the homogenized
+    system's size rule (n >= 4) raises MatrixSizeError before any form is
+    built.
+
+    The value is R(grad S)^2 * Res(H_1, ..., H_n), H_i = dS/dx_i - 3*y_i*l^2
+    with l = y.x = sum y_i*x_i: n quadrics in n variables. With F_0 = S - x0^3
+    and F_i = dS/dx_i - 3*y_i*x0^2 (``configuratrix_system``), the resultant
+    rules give it (Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 3 S3;
+    Jouanolou, Le formalisme du resultant, Adv. Math. 90, 1991):
+
+    * Euler's relation gives F_0 - (1/3)*sum x_i*F_i = -x0^2*(x0 - l), and
+      adding multiples of the other forms to F_0 leaves the resultant as it
+      is.
+    * The resultant is multiplicative in F_0, and the constant -1 comes out
+      as (-1)^(2^n) = 1, since it has degree 2^n in F_0's coefficients.
+    * Res(x0, F_1, ..., F_n) is the resultant of the F_i at x0 = 0, the
+      gradient system's R(grad S).
+    * Res(x0 - l, F_1, ..., F_n) is the resultant of the F_i at x0 = l, by
+      the determinant-1 substitution x0 -> x0 + l.
     """
     _check_momentum(m, y)
-    degrees = (3,) + (2,) * m.s.n
-    check_macaulay_size(degrees)
-    degenerate, _ = indicatrix_degenerate(m)
+    n = m.s.n
+    check_macaulay_size((3,) + (2,) * n)
+    degenerate, report = indicatrix_degenerate(m)
     if degenerate:
         return ConfiguratrixResult(
             value=Fraction(0), vanishes=True,
             diagnostic=DEGENERATE_METRIC_IDENTICALLY_ZERO)
-    system = MacaulaySystem(forms=tuple(configuratrix_system(m, y)), degrees=degrees)
-    value = macaulay_resultant(system)
+    line = MultiPoly(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(y.y)})
+    square = line * line
+    forms = tuple(grad - square * (3 * c) for grad, c in zip(m.s.gradient_system(), y.y))
+    value = report.canonical_value ** 2 * macaulay_resultant(MacaulaySystem(forms, (2,) * n))
     return ConfiguratrixResult(value=value, vanishes=value == 0, diagnostic=None)

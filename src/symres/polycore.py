@@ -31,13 +31,18 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def _exact(value) -> Fraction:
-    """value as a Fraction, refusing a binary float: 0.1 is not 1/10 in binary.
-    A str is read by `parse_scalar`, the CLI's syntax, so "0.5" or "1e3" fails."""
-    if isinstance(value, float):
-        raise TypeError(f"binary float {value!r} is not exact; pass an int, Fraction or str")
+    """value as a Fraction. An int or Fraction is taken as it is and a str is
+    read by `parse_scalar`, the CLI's syntax, so "0.5" or "1e3" fails. Any
+    other type raises TypeError: a binary float is not exact (0.1 is not
+    1/10), and a Decimal's exponent is unbounded (Decimal("1e1000000") would
+    build a 3.3-Mbit integer first)."""
     if type(value) is Fraction:
         return value
-    return parse_scalar(value) if isinstance(value, str) else Fraction(value)
+    if isinstance(value, str):
+        return parse_scalar(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"a {type(value).__name__} is not an exact scalar; pass an int, Fraction or str")
 
 
 class MatrixSizeError(RuntimeError):

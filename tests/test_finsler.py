@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import symres.finsler
+import symres.oracle
 from symres.finsler import (
     DEGENERATE_METRIC_IDENTICALLY_ZERO,
     MetricFunction,
@@ -18,6 +19,59 @@ from symres.symcubic import SymmetricCubic
 
 POWER_SUM_METRIC = MetricFunction(SymmetricCubic(3, 1, -3, 3))
 PRODUCT_METRIC = MetricFunction(SymmetricCubic(3, 0, 0, 1))
+
+
+# -- seeded n = 3 (metric, momentum) pairs -------------------------------------
+
+PAIR_KINDS = ("attainable", "generic", "tall", "power-sum", "attainable-power-sum",
+              "degenerate")
+
+
+def _rat(rng, height, den):
+    return Fraction(rng.randint(-height, height), rng.randint(1, den))
+
+
+def _metric(rng, n=3):
+    """A metric with denominators that is not indicatrix-degenerate."""
+    while True:
+        m = MetricFunction(SymmetricCubic(n, _rat(rng, 9, 4), _rat(rng, 9, 4), _rat(rng, 9, 4)))
+        if not indicatrix_degenerate(m)[0]:
+            return m
+
+
+def seeded_pair(kind, i):
+    """The i-th (metric, momentum) pair of a kind, from its own seed:
+    attainable (y = grad S(x) / 3 at a rational x with S(x) = 1), generic
+    (momenta of height 10^4 over denominators up to 10^3), tall (10^13),
+    the power sums at (1, r, s) with r, s distinct non-squares, the power
+    sums at the attainable (1, t^2, t^2), and degenerate metrics (a3 = 0,
+    or b1 = 9*a1 + 3*a2 + a3/3 = 0)."""
+    rng = random.Random(f"configuratrix-{kind}-{i}")
+    if kind == "attainable":
+        while True:
+            x = [_rat(rng, 3, 2) for _ in range(3)]
+            s1, s2, s3 = sum(x), x[0] * x[1] + x[0] * x[2] + x[1] * x[2], x[0] * x[1] * x[2]
+            a2, a3 = _rat(rng, 4, 3), _rat(rng, 4, 3)
+            if s1 == 0:
+                continue
+            m = MetricFunction(SymmetricCubic(3, (1 - a2 * s1 * s2 - a3 * s3) / s1 ** 3, a2, a3))
+            if not indicatrix_degenerate(m)[0]:
+                return m, Momentum.of([g.eval(x) / 3 for g in m.s.gradient_system()])
+    if kind in ("generic", "tall"):
+        height = 10 ** 4 if kind == "generic" else 10 ** 13
+        return _metric(rng), Momentum.of([_rat(rng, height, height // 10) for _ in range(3)])
+    if kind == "power-sum":
+        r, s = rng.sample((2, 3, 5, 7, 11, 13), 2)
+        return POWER_SUM_METRIC, Momentum.of([1, r, s])
+    if kind == "attainable-power-sum":
+        t = _rat(rng, 5, 3)
+        return POWER_SUM_METRIC, Momentum.of([1, t * t, t * t])
+    a1, a2, a3 = _rat(rng, 9, 4), _rat(rng, 9, 4), Fraction(0)
+    if i % 2:
+        a3 = _rat(rng, 9, 4)
+        a1 = -(3 * a2 + a3 / 3) / 9
+    return (MetricFunction(SymmetricCubic(3, a1, a2, a3)),
+            Momentum.of([_rat(rng, 9, 4) for _ in range(3)]))
 
 
 def test_indicatrix_pure_s3_degenerate():
@@ -162,3 +216,51 @@ def test_configuratrix_construction_scale_invariance():
         y = Momentum.of([g.eval(xi) / (3 * sigma ** 2) for g in grads])
         assert y == Momentum.of([t * t, t * t, Fraction(1)])
         assert configuratrix_resultant(POWER_SUM_METRIC, y).vanishes
+
+
+# -- the reduced route against the homogenized system ----------------------------
+
+def _homogenized_value(m, y):
+    """The test oracle: the Macaulay resultant of the n+1 homogenized forms."""
+    degrees = (3,) + (2,) * m.s.n
+    return macaulay_resultant(MacaulaySystem(tuple(configuratrix_system(m, y)), degrees))
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_configuratrix_equals_the_homogenized_resultant(kind):
+    # exact, sign included: ten seeded pairs of each kind, whose metrics and
+    # momenta carry denominators, so the homogeneity scales are not 1
+    for i in range(10):
+        m, y = seeded_pair(kind, i)
+        assert configuratrix_resultant(m, y).value == _homogenized_value(m, y), (kind, i)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_configuratrix_at_zero_momentum_is_the_cube_of_the_indicatrix_resultant(kind):
+    for i in range(10):
+        m, _ = seeded_pair(kind, i)
+        cube = indicatrix_degenerate(m)[1].canonical_value ** 3
+        assert configuratrix_resultant(m, Momentum.of([0, 0, 0])).value == cube
+
+
+def test_configuratrix_equals_the_homogenized_resultant_at_n4(monkeypatch):
+    # both routes are over the size rule at n = 4 (the homogenized matrix is
+    # 330x330); the rule is raised for this test only. The homogenized
+    # route takes about 1 s here, the reduced one (56x56) about 0.01 s.
+    monkeypatch.setattr(symres.oracle, "MAX_MATRIX_ENTRIES", 330 ** 2)
+    rng = random.Random("configuratrix-n4")
+    m, y = _metric(rng, 4), Momentum.of([_rat(rng, 9, 4) for _ in range(4)])
+    value = configuratrix_resultant(m, y).value
+    assert value != 0
+    assert value == _homogenized_value(m, y)
+
+
+def test_configuratrix_does_not_build_the_homogenized_system(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the homogenized system was built")
+
+    monkeypatch.setattr(symres.finsler, "configuratrix_system", unreachable)
+    for kind in PAIR_KINDS:
+        for i in range(2):
+            result = configuratrix_resultant(*seeded_pair(kind, i))
+            assert result.vanishes == (kind not in ("generic", "tall", "power-sum"))

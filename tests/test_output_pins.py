@@ -1,4 +1,4 @@
-"""Byte-identity pins of the CLI's closed-form and witness output.
+"""Byte-identity pins of the CLI's closed-form, witness and configuratrix output.
 
 Each batch runs the CLI in-process and hashes a transcript of every call:
 the arguments, the exit code, stdout and stderr. The closed-form digests
@@ -6,7 +6,9 @@ were taken while each factor was still evaluated as a chain of Fraction
 operations, before the integer evaluation over one common denominator; the
 witness digest while each two-value pattern was still solved through exact
 square roots of binary-quadratic discriminants; the large-n witness digest
-while every pattern k = 0..n was still tried in turn. Any change to a printed
+while every pattern k = 0..n was still tried in turn; the configuratrix
+digest while the value was still the Macaulay resultant of the homogenized
+(n+1)-form system, before its reduction to n quadrics. Any change to a printed
 byte, an exit code or a refusal message changes a digest. The one text left
 out is the interpreter's own int->str message after "answer too large to
 print:", whose wording differs between Python versions.
@@ -22,8 +24,10 @@ from fractions import Fraction
 import pytest
 
 from symres.cli import main
+from symres.finsler import Momentum
 from symres.symcubic import SymmetricCubic
 
+from test_finsler import PAIR_KINDS, seeded_pair
 from test_oracle import _from_normalized, _stratum_cubic, stratum_cubics
 
 PRINT_LIMIT = re.compile(r"(answer too large to print:)[^\n]*")
@@ -72,31 +76,34 @@ def strata_cubics():
 
 def transcript(tmp_path, calls):
     """sha256 of every call's arguments, exit code, stdout and stderr, and
-    the exit codes in order. A refusal writes exactly one JSON error line."""
+    the exit codes in order. Each call is (command, its JSON input files'
+    payloads, flags). A refusal writes exactly one JSON error line."""
     digest, codes = hashlib.sha256(), []
-    for i, (command, payload, flags) in enumerate(calls):
-        path = tmp_path / f"in{i}.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+    for i, (command, payloads, flags) in enumerate(calls):
+        paths = [tmp_path / f"in{i}-{j}.json" for j in range(len(payloads))]
+        for path, payload in zip(paths, payloads):
+            path.write_text(json.dumps(payload), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path), *flags])
+            code = main([command, *map(str, paths), *flags])
         codes.append(code)
         if code == 4:
             (line,) = err.getvalue().splitlines()
             assert "error" in json.loads(line)
-        digest.update(f"{command} {json.dumps(payload)} {flags}\n{code}\n".encode())
+        inputs = " ".join(map(json.dumps, payloads))
+        digest.update(f"{command} {inputs} {flags}\n{code}\n".encode())
         digest.update(out.getvalue().encode() + b"\0"
                       + PRINT_LIMIT.sub(r"\1", err.getvalue()).encode() + b"\0")
     return digest.hexdigest(), codes
 
 
 def test_sweep_across_the_vanishing_locus_is_pinned(tmp_path):
-    digest, codes = transcript(tmp_path, [("sweep", NEAR_LOCUS_61, [])])
+    digest, codes = transcript(tmp_path, [("sweep", [NEAR_LOCUS_61], [])])
     assert codes == [0]
     assert digest == "de2f674d34fded3f7921ca62adafc2fb7bcdec4cb6fbf51eb49e8ce6fe0d5ab2"
     # --out writes the same bytes as stdout
     out_path = tmp_path / "lines.jsonl"
-    assert main(["sweep", str(tmp_path / "in0.json"), "--out", str(out_path)]) == 0
+    assert main(["sweep", str(tmp_path / "in0-0.json"), "--out", str(out_path)]) == 0
     text = out_path.read_text(encoding="utf-8")
     assert len(text.splitlines()) == 61 * 61
     assert sum('"vanishes": true' in line for line in text.splitlines()) == 22
@@ -105,7 +112,7 @@ def test_sweep_across_the_vanishing_locus_is_pinned(tmp_path):
 
 
 def test_small_sweeps_are_pinned(tmp_path):
-    digest, codes = transcript(tmp_path, [("sweep", g, []) for g in small_grids()])
+    digest, codes = transcript(tmp_path, [("sweep", [g], []) for g in small_grids()])
     # the generic n = 10 grid is refused: its values pass the int->str limit
     assert codes == [0] * 28 + [4, 0, 0, 0]
     assert digest == "2b9bc587f1a56701f7b205016ebe8847b96b74c8aba73f92db1be0abcd4dbfad"
@@ -134,7 +141,7 @@ CLOSED_DIGESTS = [
 
 @pytest.mark.parametrize("flags", [[], ["--paper-normalization"]])
 def test_closed_reports_on_the_strata_are_pinned(tmp_path, flags):
-    calls = [("closed", {"n": n, "A1": str(a1), "A2": str(a2), "A3": str(a3)}, flags)
+    calls = [("closed", [{"n": n, "A1": str(a1), "A2": str(a2), "A3": str(a3)}], flags)
              for n, a1, a2, a3 in strata_cubics()]
     digest, codes = transcript(tmp_path, calls)
     assert codes == CLOSED_EXIT_CODES
@@ -158,7 +165,7 @@ def witness_cubics():
 
 
 def test_witness_reports_are_pinned(tmp_path):
-    calls = [("witness", {"n": n, "A1": str(a1), "A2": str(a2), "A3": str(a3)}, [])
+    calls = [("witness", [{"n": n, "A1": str(a1), "A2": str(a2), "A3": str(a3)}], [])
              for n, a1, a2, a3 in witness_cubics()]
     digest, codes = transcript(tmp_path, calls)
     assert codes == [0] * len(calls)
@@ -186,8 +193,27 @@ def large_witness_cubics():
 
 
 def test_large_n_witness_reports_are_pinned(tmp_path):
-    calls = [("witness", {"n": n, "A1": str(a1), "A2": str(a2), "A3": str(a3)}, [])
+    calls = [("witness", [{"n": n, "A1": str(a1), "A2": str(a2), "A3": str(a3)}], [])
              for n, a1, a2, a3 in large_witness_cubics()]
     digest, codes = transcript(tmp_path, calls)
     assert codes == [0] * len(calls)
     assert digest == "a97f431cfaf86cb03d876b9815e99a4fab46a9a5a5053403fbdb40ac5bd7f4fc"
+
+
+def configuratrix_calls():
+    """Four seeded n = 3 pairs of every kind of test_finsler.seeded_pair,
+    the zero momentum on two metrics, then an n = 4 pair (refused by the
+    size rule) and a momentum of the wrong length."""
+    pairs = [seeded_pair(kind, i) for kind in PAIR_KINDS for i in range(4)]
+    pairs += [(m, Momentum.of([0, 0, 0])) for m, _ in pairs[:2]]
+    calls = [[{"n": m.s.n, "A1": str(m.s.a1), "A2": str(m.s.a2), "A3": str(m.s.a3)},
+              {"y": [str(v) for v in y.y]}] for m, y in pairs]
+    calls += [[dict(calls[0][0], n=4), {"y": ["1", "2", "3", "4"]}],
+              [calls[0][0], {"y": ["1", "2"]}]]
+    return [("configuratrix", payloads, []) for payloads in calls]
+
+
+def test_configuratrix_reports_are_pinned(tmp_path):
+    digest, codes = transcript(tmp_path, configuratrix_calls())
+    assert codes == [0] * 26 + [4, 2]
+    assert digest == "62cce6bd730a6277c86e2f3444cd727efa0577edd2a2c7270f64dc9e56b5f93f"

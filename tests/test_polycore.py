@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -392,4 +393,15 @@ def test_an_exponent_string_is_refused_at_once():
     start = time.perf_counter()
     with pytest.raises(ValueError):
         SymmetricCubic(3, "1e10000000", 0, 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_decimal_is_refused_at_once():
+    # Fraction(Decimal("1e1000000")) would build a 3.3-Mbit integer first;
+    # only int, Fraction and str are scalars
+    start = time.perf_counter()
+    for build in (lambda d: SymmetricCubic(3, d, 0, 1), lambda d: Momentum.of([d]),
+                  lambda d: MultiPoly(1, {(1,): d}), lambda d: QuadExt(d, 0, 2)):
+        with pytest.raises(TypeError, match="Decimal"):
+            build(Decimal("1e1000000"))
     assert time.perf_counter() - start < 1
