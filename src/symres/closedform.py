@@ -66,31 +66,33 @@ def _binomial_row(n: int) -> list[int]:
     return row
 
 
-def _expand(lead: Fraction, lead_exp: int, factors: list[Fraction],
-            exponents: list[int] | None = None) -> tuple[Fraction, Fraction]:
-    """lead**lead_exp * prod(factor**exponent), and that over the canonical
-    ratio: the one place a factored value is expanded. A zero factor gives 0
-    before any size estimate, power, division or exponent row (omitted
-    exponents are the binomial row, built only past that check); otherwise
-    the bit lengths of the unreduced products are summed first, and above
-    MAX_CLOSED_FORM_BITS the call raises MatrixSizeError."""
+def _expand(lead: Fraction, lead_exp: int,
+            factors: list[Fraction]) -> tuple[Fraction, Fraction, list[int] | None]:
+    """lead**lead_exp * prod(factor**C(n-1, k)), that over the canonical
+    ratio, and the exponent row: the one place a factored value is expanded.
+    A zero factor gives 0 and no row before any estimate, power or division.
+    Each nonzero factor has a bit of numerator and one of denominator and
+    the exponents sum to 2^(n-1), so the product has at least the lead's
+    bits plus 2^n; the row is built only when that floor fits, then the
+    exact bit sum is checked. Over MAX_CLOSED_FORM_BITS: MatrixSizeError."""
     if not all(factors):
-        return Fraction(0), Fraction(0)
-    if exponents is None:
+        return Fraction(0), Fraction(0), None
+    lead_bits = lead_exp * (lead.numerator.bit_length() + lead.denominator.bit_length())
+    bits = lead_bits + 2 ** len(factors)
+    if bits <= MAX_CLOSED_FORM_BITS:
         exponents = _binomial_row(len(factors))
-    parts = [(lead.numerator, lead.denominator, lead_exp)]
-    parts += [(v.numerator, v.denominator, e) for v, e in zip(factors, exponents)]
-    bits = 0
-    for p, q, exponent in parts:
-        bits += exponent * (p.bit_length() + q.bit_length())
+        parts = [(v.numerator, v.denominator, e) for v, e in zip(factors, exponents)]
+        bits = lead_bits
+        for p, q, e in parts:
+            bits += e * (p.bit_length() + q.bit_length())
     if bits > MAX_CLOSED_FORM_BITS:
         raise MatrixSizeError(f"closed form would expand past {MAX_CLOSED_FORM_BITS} bits")
-    num = den = 1
-    for p, q, exponent in parts:
-        num *= p ** exponent
-        den *= q ** exponent
+    num, den = lead.numerator ** lead_exp, lead.denominator ** lead_exp
+    for p, q, e in parts:
+        num *= p ** e
+        den *= q ** e
     total = Fraction(num, den)
-    return total, total / formula_to_canonical_ratio(len(factors))
+    return total, total / formula_to_canonical_ratio(len(factors)), exponents
 
 
 def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:
@@ -109,9 +111,8 @@ def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:
     values = [Fraction((n - 2 * k) ** 2 * left - k * (n - k) * right, den)
               for k in range(n // 2 + 1)]
     values += values[(n - 1) // 2:0:-1]  # k -> n-k keeps (n-2k)^2 and k(n-k)
-    exponents = _binomial_row(n)
-    formula_value, canonical = _expand(sc.a3, (n - 3) * 2 ** (n - 1), values, exponents)
-    factors = tuple(map(ReportFactor, range(n), values, exponents))
+    formula_value, canonical, exponents = _expand(sc.a3, (n - 3) * 2 ** (n - 1), values)
+    factors = tuple(map(ReportFactor, range(n), values, exponents or _binomial_row(n)))
     return ResultantReport(canonical_value=canonical, formula_value=formula_value,
                            factors=factors, vanishes=not formula_value)
 

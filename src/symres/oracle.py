@@ -50,23 +50,25 @@ def det_bareiss(rows: list[list[int]]) -> int:
     elimination with lazy row scaling, over each row's nonzero span. Given
     m >= N rows of N columns, it is 0 iff their rank is below N.
 
-    Step k divides by prevs[k] (1 at step 0, then the previous pivot), and
-    every Bareiss entry it leaves is a minor of the row-permuted input. A
-    step only rescales a row whose entry in the pivot column is zero, by
-    prevs[k+1] / prevs[k], so such a row is left as it is. Row i holds the
-    entries of step level[i]: its Bareiss entries at step k are
-    stored * prevs[k] / prevs[level[i]], an exact division because the
-    value is a minor. A stale row is caught up only when used: as the pivot
-    row by that formula, and with a nonzero factor by the ordinary update
-    divided by prevs[level[i]] in place of prevs[k] (the prevs[k] cancels).
-    Scaling keeps zeros zero; the last pivot is the square determinant.
+    Rows never move: step k pivots on the last row to reach column k and
+    divides by prevs[k] (1 at step 0, then the previous pivot). Bareiss
+    entries are minors of the rows in pivot order, the last pivot their
+    determinant; sorting the order by swaps after the loop gives its sign
+    (for m > N, a nonzero result is the maximal minor on the pivot rows).
+    A row whose pivot-column entry is zero would only be rescaled, by
+    prevs[k+1] / prevs[k], so it is left as it is. Row i holds the entries
+    of step level[i]: at step k they are stored * prevs[k] / prevs[level[i]],
+    exact because the value is a minor. A stale row is caught up only when
+    used: as the pivot row by that formula, and with a nonzero factor by the
+    ordinary update divided by prevs[level[i]] in place of prevs[k] (the
+    prevs[k] cancels). Scaling keeps zeros zero.
 
-    Rows below the pivot are zero left of column k: led[k] holds those whose
-    first nonzero is in column k, the rows to update, and an update stops at
-    the larger end (end[i] is one past row i's last nonzero). A zero row is
-    dropped; the result is 0 once column k has no candidate pivot row or
-    fewer nonzero rows are left than columns (for a square matrix: any zero
-    row).
+    Rows not yet pivots are zero left of column k: led[k] holds those whose
+    first nonzero is in column k, the pivot and the rows to update, and an
+    update stops at the larger end (end[i] is one past row i's last
+    nonzero). A zero row is dropped; the result is 0 once column k has no
+    candidate pivot row or fewer nonzero rows are left than columns (for a
+    square matrix: any zero row).
     """
     m = [row[:] for row in rows]
     n = len(m[0]) if m else 0
@@ -79,26 +81,17 @@ def det_bareiss(rows: list[list[int]]) -> int:
             led[nonzero[0]].append(i)
         end.append(nonzero[-1] + 1 if nonzero else 0)
     live = sum(map(len, led))
-    sign, prevs, level = 1, [1], [0] * len(m)
+    prevs, level, order = [1], [0] * len(m), []
     for k in columns:
         below = led[k]
         if not below or live < n - k:
             return 0
-        if m[k][k]:
-            below.remove(k)
-        else:
-            i = below.pop()
-            for v in (m, level, end):
-                v[k], v[i] = v[i], v[k]
-            first = next((j for j in range(k + 1, end[i]) if m[i][j]), None)
-            if first is not None:
-                moved = led[first]
-                moved[moved.index(k)] = i
-            sign = -sign
+        p = below.pop()
+        order.append(p)
         live -= 1
-        row_k, end_k = m[k], end[k]
-        if level[k] != k:
-            now, then = prevs[k], prevs[level[k]]
+        row_k, end_k = m[p], end[p]
+        if level[p] != k:
+            now, then = prevs[k], prevs[level[p]]
             for j in range(k, end_k):
                 row_k[j] = row_k[j] * now // then
         pivot = row_k[k]
@@ -116,6 +109,12 @@ def det_bareiss(rows: list[list[int]]) -> int:
             else:
                 led[first].append(i)
         prevs.append(pivot)
+    sign, perm = 1, sorted(columns, key=order.__getitem__)
+    for j in columns:
+        while perm[j] != j:
+            i = perm[j]
+            perm[j], perm[i] = perm[i], i
+            sign = -sign
     return sign * prevs[-1]
 
 

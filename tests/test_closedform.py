@@ -344,6 +344,18 @@ def test_exponent_row_is_built_only_where_needed(monkeypatch):
     assert built == [50, 5]
 
 
+def test_nonvanishing_refusal_builds_no_exponent_row(monkeypatch):
+    # the row C(n-1, k) has O(n^2) bits, about 3.6 GB at n = 2*10^5; a
+    # nonvanishing value with 2^n bits or more is refused before it is built
+    def no_row(n):
+        raise AssertionError(f"exponent row built for n = {n}")
+    monkeypatch.setattr(symres.closedform, "_binomial_row", no_row)
+    with pytest.raises(MatrixSizeError):
+        closed_form_resultant(SymmetricCubic(2 * 10 ** 5, 1, 2, 3))
+    with pytest.raises(MatrixSizeError):
+        resultant_via_reduction(SymmetricCubic(2 * 10 ** 4, 1, 2, 3))
+
+
 def test_size_guard_is_estimated_from_the_factors():
     # power sums have every Y_k = 54 (6 + 1 bits of numerator and
     # denominator) and b3 = 3 (2 + 1 bits): the estimate is 2^14*(7 + 12*3)

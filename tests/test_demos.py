@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -5,13 +6,20 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["closed_formula_tour", "configuratrix_tour", "degeneracy_witnesses",
-         "vanishing_locus_sweep"]
+# sha256 of each demo's stdout, taken while the Bareiss kernel still swapped
+# rows and preferred the diagonal pivot; any changed printed byte fails
+DEMOS = {
+    "closed_formula_tour": "1062440f571a2693d3f8544dc2a725897d05e454e0c82a0e56a3f666124cd4e7",
+    "configuratrix_tour": "6ad63c7ca542bdaf1d74b5cdaaf1c43bda11c25049568b1bfb40e409f3cbc0ce",
+    "degeneracy_witnesses": "ad60e92a1c0c6b740104a32cf8096609501f2484c903ef46ffe1f3aa8ea8901b",
+    "vanishing_locus_sweep": "3024cc3da57d57aa78b88eda2a90be7394a86a0305ad1f32bf6557a8f56de4e2",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")], capture_output=True,
-        text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMOS[demo]

@@ -59,6 +59,8 @@ def test_det_bareiss_known_values():
 
 
 def test_det_bareiss_needs_pivot_swap():
+    # no row moves: each step pivots on the one row reaching its column, so
+    # the pivot order is (1, 0), then (2, 1, 0), one swap from input order
     assert det_bareiss([[0, 1], [1, 0]]) == -1
     assert det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
@@ -168,12 +170,13 @@ def test_block_triangular_det_matches_dense_random_sparse():
 
 
 def test_det_of_singular_and_block_triangular_patterns():
-    # rows 0 and 1 only reach column 0: once one is the pivot, the other
-    # becomes a zero row
+    # rows 0 and 1 only reach column 0: step 0 pivots on row 2 and leaves
+    # them proportional, so once row 1 is the pivot row 0 becomes a zero row
     assert det_bareiss([[5, 0, 0], [7, 0, 0], [1, 2, 3]]) == 0
     assert det_bareiss([[0, 0], [0, 0]]) == 0
-    # rows 0 and 1 are zero right of column 1; in the first case step 0
-    # turns row 1 into a zero row, leaving fewer nonzero rows than columns
+    # rows 0 and 1 are zero right of column 1, and step 0 pivots on row 2;
+    # in the first case they stay proportional, so step 1 (pivot row 1)
+    # turns row 0 into a zero row, leaving fewer nonzero rows than columns
     tail = [[1, 0, 1, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]
     assert det_bareiss([[1, 2, 0, 0, 0], [2, 4, 0, 0, 0]] + tail) == 0
     assert det_bareiss([[1, 2, 0, 0, 0], [3, 4, 0, 0, 0]] + tail) == -4
@@ -195,9 +198,11 @@ def test_lower_bidiagonal_det_is_the_diagonal_product():
 
 @pytest.mark.parametrize("n", [6, 3000])
 def test_det_whose_only_matching_needs_one_long_augmenting_path(n):
-    # column 0 is nonzero only in row n - 1, so step 0 swaps it to the top
-    # and updates no row; row 0, nonzero in column 1 only, takes its place,
-    # and each later step k pivots on row k and updates that last row alone
+    # column 0 is nonzero only in row n - 1, so step 0 pivots on it and
+    # updates no row; step 1 pivots on row 1 and updates row 0, which pivots
+    # at step 2; from then on each step pivots on the row the step before
+    # updated and updates row k, untouched since step 0, alone. The pivot
+    # order n - 1, 1, 0, 2, ..., n - 2 is one cycle of length n - 1
     rows = [[0] * n for _ in range(n)]
     rows[0][1] = 1
     for i in range(1, n):
@@ -220,35 +225,39 @@ def test_bareiss_kernel_matches_dense_random_sparse():
 
 
 def test_bareiss_kernel_swaps_a_stale_row_into_the_pivot():
-    # Step 0 (pivot 3) zeroes row 1's column 1 and leaves row 2 stale.
-    # Step 1 swaps row 2 in and scales it by 3 / 1; the swap carries the
-    # levels, so step 2 scales row 1, stale since step 1, by 6 / 3.
-    rows = [[3, 0, 2, 2], [3, 0, 1, 0], [0, 2, 1, 0], [2, 3, 0, 0]]
-    assert det_bareiss(rows) == dense_det(rows) == 26
+    # Rows never move, and stale rows become pivots where they stand.
+    # Step 0 pivots on row 3 (3), updates row 2 and leaves row 0 stale;
+    # step 1 pivots on row 0 and scales it by 3 / 1. Step 2 pivots on row 2,
+    # stale since step 1, and scales it by 6 / 3; its update of row 1, stale
+    # since step 0, divides by 1 in place of 6.
+    rows = [[0, 2, 3, 2], [0, 0, 3, 1], [2, 0, 0, 1], [3, 0, 2, 0]]
+    assert det_bareiss(rows) == dense_det(rows) == -26
 
 
 def test_bareiss_kernel_corrects_a_stale_last_row():
-    # the last row is up to date after step 0 (pivot 2) and stale through
-    # steps 1 and 2 (pivots 4 and 8): its entry 7 becomes 7 * 8 / 2
+    # step 0 pivots on the last row (1) and leaves row 0 as (0, 0, 0, -7),
+    # stale through steps 1 and 2 (pivots 2 and 4), which pivot on rows 1
+    # and 2; step 3 pivots on row 0, and its entry -7 becomes -7 * 4 / 1
     rows = [[2, 2, 2, 1], [1, 3, 1, 2], [1, 1, 3, 1], [1, 1, 1, 4]]
     assert det_bareiss(rows) == dense_det(rows) == 28
 
 
 def test_bareiss_kernel_row_stale_from_first_to_last_step():
-    # the last row is never touched: its entry 7 is scaled once, by the
-    # last pivot over the first divisor 1
+    # the last row is never touched until step 4 pivots on it: its entry 7
+    # is scaled once, by step 3's pivot over the first divisor 1
     rows = [[3, 1, 2, 1, 0], [1, 2, 1, 0, 1], [2, 1, 4, 1, 1], [1, 0, 1, 5, 2], [0, 0, 0, 0, 7]]
     assert det_bareiss(rows) == dense_det(rows) == 7 * dense_det([row[:4] for row in rows[:4]])
 
 
 def test_bareiss_kernel_singular_only_after_a_catch_up():
-    # rows 2 and 3 skip step 0; their step-1 updates (divided by 1, not by
-    # step 0's pivot 2) clear column 2, so step 2 finds no pivot
-    rows = [[2, 1, 1, 1], [1, 1, 1, 1], [0, 1, 1, 5], [0, 3, 3, 1]]
+    # rows 2 and 3 skip step 0 (pivot 2, on row 1); their step-1 updates
+    # (divided by 1, not by step 0's pivot 2) clear column 2, so step 2
+    # finds no pivot
+    rows = [[1, 1, 1, 1], [2, 1, 1, 1], [0, 1, 1, 5], [0, 3, 3, 1]]
     assert det_bareiss(rows) == dense_det(rows) == 0
     # here the stale rows' updates leave the zero in the last entry, and
     # changing one entry makes that entry nonzero
-    rows = [[2, 1, 0, 0], [1, 1, 1, 0], [0, 3, 1, 1], [0, 6, 2, 2]]
+    rows = [[1, 1, 1, 0], [2, 1, 0, 0], [0, 3, 1, 1], [0, 6, 2, 2]]
     assert det_bareiss(rows) == dense_det(rows) == 0
     rows[3][3] = 3
     assert det_bareiss(rows) == dense_det(rows) != 0
@@ -300,8 +309,8 @@ def test_tall_bareiss_is_zero_iff_rank_deficient():
 
 
 def test_tall_bareiss_drops_zero_rows():
-    # step 0 zeroes row 1, which is dropped; row 2 takes its place to pivot
-    # column 1
+    # step 0 pivots on row 1 and zeroes row 0, which is dropped; row 2
+    # pivots column 1
     assert det_bareiss([[1, 2], [2, 4], [0, 3]]) != 0
     # fewer nonzero rows than columns, before any step
     assert det_bareiss([[0, 0, 0], [0, 0, 0], [1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
