@@ -9,7 +9,6 @@ from symres import (
     MacaulaySystem,
     SymmetricCubic,
     closed_form_resultant,
-    decompose,
     macaulay_resultant,
     resultant_via_reduction,
 )
@@ -17,7 +16,6 @@ from symres import (
 sc = SymmetricCubic(3, 1, -3, 3)
 print("cubic:", sc)
 print("expanded:", sc.expand())
-print("round trip decompose(expand):", decompose(sc.expand()))
 print()
 
 print("gradient system:")
@@ -36,7 +34,6 @@ print()
 print("reduction chain:")
 rp = sc.reduced_params()
 print("  reduced parameters: a =", rp.a, " b =", rp.b, " d =", rp.d)
-print("  reduced system:", [str(f) for f in sc.reduced_system()])
 print("  chain value:", resultant_via_reduction(sc))
 print()
 

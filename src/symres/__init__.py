@@ -48,7 +48,6 @@ from .symcubic import (
     ReducedParams,
     SymmetricCubic,
     TransformationUndefinedError,
-    decompose,
 )
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "closed_form_resultant",
     "configuratrix_resultant",
     "configuratrix_system",
-    "decompose",
     "det_bareiss",
     "det_rational",
     "elem_sym",

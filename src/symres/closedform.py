@@ -66,33 +66,34 @@ def _binomial_row(n: int) -> list[int]:
     return row
 
 
-def _expand(lead: Fraction, lead_exp: int,
-            factors: list[Fraction]) -> tuple[Fraction, Fraction, list[int] | None]:
-    """lead**lead_exp * prod(factor**C(n-1, k)), that over the canonical
-    ratio, and the exponent row: the one place a factored value is expanded.
-    A zero factor gives 0 and no row before any estimate, power or division.
-    Each nonzero factor has a bit of numerator and one of denominator and
-    the exponents sum to 2^(n-1), so the product has at least the lead's
-    bits plus 2^n; the row is built only when that floor fits, then the
-    exact bit sum is checked. Over MAX_CLOSED_FORM_BITS: MatrixSizeError."""
+def _expand(a3: Fraction, factors: list[Fraction]) -> tuple[Fraction, Fraction, list[int] | None]:
+    """a3**((n-3)*2^(n-1)) * prod(factor**C(n-1, k)) over the n factors, that
+    over the canonical ratio, and the exponent row: the one place a factored
+    value is expanded. A zero factor gives 0 and no row before any estimate,
+    power or division. Each nonzero factor has a bit of numerator and one of
+    denominator and the exponents sum to 2^(n-1), so the product has at least
+    the a3 power's bits plus 2^n; the row is built only when that floor fits,
+    then the exact bit sum is checked. Over MAX_CLOSED_FORM_BITS: MatrixSizeError."""
     if not all(factors):
         return Fraction(0), Fraction(0), None
-    lead_bits = lead_exp * (lead.numerator.bit_length() + lead.denominator.bit_length())
-    bits = lead_bits + 2 ** len(factors)
+    n = len(factors)
+    lead_exp = (n - 3) * 2 ** (n - 1)
+    lead_bits = lead_exp * (a3.numerator.bit_length() + a3.denominator.bit_length())
+    bits = lead_bits + 2 ** n
     if bits <= MAX_CLOSED_FORM_BITS:
-        exponents = _binomial_row(len(factors))
+        exponents = _binomial_row(n)
         parts = [(v.numerator, v.denominator, e) for v, e in zip(factors, exponents)]
         bits = lead_bits
         for p, q, e in parts:
             bits += e * (p.bit_length() + q.bit_length())
     if bits > MAX_CLOSED_FORM_BITS:
         raise MatrixSizeError(f"closed form would expand past {MAX_CLOSED_FORM_BITS} bits")
-    num, den = lead.numerator ** lead_exp, lead.denominator ** lead_exp
+    num, den = a3.numerator ** lead_exp, a3.denominator ** lead_exp
     for p, q, e in parts:
         num *= p ** e
         den *= q ** e
     total = Fraction(num, den)
-    return total, total / formula_to_canonical_ratio(len(factors)), exponents
+    return total, total / formula_to_canonical_ratio(n), exponents
 
 
 def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:
@@ -111,23 +112,27 @@ def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:
     values = [Fraction((n - 2 * k) ** 2 * left - k * (n - k) * right, den)
               for k in range(n // 2 + 1)]
     values += values[(n - 1) // 2:0:-1]  # k -> n-k keeps (n-2k)^2 and k(n-k)
-    formula_value, canonical, exponents = _expand(sc.a3, (n - 3) * 2 ** (n - 1), values)
+    formula_value, canonical, exponents = _expand(sc.a3, values)
     factors = tuple(map(ReportFactor, range(n), values, exponents or _binomial_row(n)))
     return ResultantReport(canonical_value=canonical, formula_value=formula_value,
                            factors=factors, vanishes=not formula_value)
 
 
-def _grouped_factors(rp: ReducedParams, n: int) -> list[Fraction]:
-    """Factors g_k of the reduced system's resultant, a rational product.
+def _grouped_factors(rp: ReducedParams, n: int, lift: Fraction) -> list[Fraction]:
+    """Factors g_k of the reduced system's resultant, each times lift.
 
     The resultant is the product over the 2^n sign vectors e in {+1,-1}^n of
     1 + n*a + r*sum(e_j) with r^2 = a^2 - b. Pairing every sign vector with
     its negation multiplies conjugates, giving the product over k = 0..n-1
     of g_k ** C(n-1, k) with g_k = (1 + n*a)^2 - (a^2 - b)*(n-2k)^2;
-    note the minus sign (conjugate pairs multiply to c^2 - r^2*m^2).
+    note the minus sign (conjugate pairs multiply to c^2 - r^2*m^2). k -> n-k
+    keeps (n-2k)^2, so k = 0..n/2 are formed, lifted, over one denominator.
     """
     c = 1 + n * rp.a
-    return [c * c - rp.radicand * (n - 2 * k) ** 2 for k in range(n)]
+    (p, q), (t, u) = (c * c * lift).as_integer_ratio(), (rp.radicand * lift).as_integer_ratio()
+    p, t, q = p * u, t * q, q * u
+    values = [Fraction(p - t * (n - 2 * k) ** 2, q) for k in range(n // 2 + 1)]
+    return values + values[(n - 1) // 2:0:-1]
 
 
 def resultant_via_reduction(sc: SymmetricCubic) -> Scalar:
@@ -143,7 +148,5 @@ def resultant_via_reduction(sc: SymmetricCubic) -> Scalar:
     the chain refuses exactly what the closed form refuses. Raises
     TransformationUndefinedError where the reduction fails.
     """
-    rp, n = sc.reduced_params(), sc.n
-    lift = sc.a3 ** 2 * rp.d
-    factors = [g * lift for g in _grouped_factors(rp, n)]
-    return _expand(sc.a3, (n - 3) * 2 ** (n - 1), factors)[1]
+    rp = sc.reduced_params()
+    return _expand(sc.a3, _grouped_factors(rp, sc.n, sc.a3 ** 2 * rp.d))[1]

@@ -177,11 +177,11 @@ def _integer_forms(forms, degrees):
     return cleared, scale
 
 
-def _columns(n, degrees):
+def _columns(degrees):
     """The critical degree nu and each degree-nu monomial's column, in
     canonical order."""
     nu = sum(d - 1 for d in degrees) + 1
-    return nu, {mono: i for i, mono in enumerate(monomials_of_degree(n, nu))}
+    return nu, {mono: i for i, mono in enumerate(monomials_of_degree(len(degrees), nu))}
 
 
 def _row(form, alpha, col_index) -> list[int]:
@@ -192,14 +192,14 @@ def _row(form, alpha, col_index) -> list[int]:
     return row
 
 
-def _build_matrix(forms, n, degrees):
+def _build_matrix(forms, degrees):
     """Macaulay rows (column order) of forms given as integer terms
     {exponents: int}, and the non-reduced column indices."""
-    _, col_index = _columns(n, degrees)
+    _, col_index = _columns(degrees)
     rows = []
     non_reduced = []
     for ci, beta in enumerate(col_index):
-        divisors = [i for i in range(n) if beta[i] >= degrees[i]]
+        divisors = [i for i, d in enumerate(degrees) if beta[i] >= d]
         if len(divisors) >= 2:
             non_reduced.append(ci)
         i = divisors[0]
@@ -209,14 +209,14 @@ def _build_matrix(forms, n, degrees):
     return rows, non_reduced
 
 
-def _rank_deficient(forms, n, degrees) -> bool:
+def _rank_deficient(forms, degrees) -> bool:
     """Whether the full Macaulay matrix, every row x^alpha * F_i with
     |alpha| = nu - d_i, has rank below its N columns: by Macaulay's theorem
     (Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 3) exactly when the
     forms have a common projective zero, i.e. when the resultant is 0."""
-    nu, col_index = _columns(n, degrees)
+    nu, col_index = _columns(degrees)
     return det_bareiss([_row(f, alpha, col_index) for f, d in zip(forms, degrees)
-                        for alpha in monomials_of_degree(n, nu - d)]) == 0
+                        for alpha in monomials_of_degree(len(degrees), nu - d)]) == 0
 
 
 def _det_ratio(rows, non_reduced) -> Optional[Fraction]:
@@ -282,7 +282,7 @@ def macaulay_resultant(system: MacaulaySystem) -> Scalar:
     n = len(degrees)
     check_macaulay_size(degrees)
     forms, scale = _integer_forms(system.forms, degrees)
-    matrix = _build_matrix(forms, n, degrees)
+    matrix = _build_matrix(forms, degrees)
     value = _det_ratio(*matrix)
     if value is not None:
         return value / scale
@@ -292,10 +292,10 @@ def macaulay_resultant(system: MacaulaySystem) -> Scalar:
         if det_t == 0:
             continue
         substituted = [MultiPoly(n, f).substitute_linear(transform) for f in forms]
-        value = _det_ratio(*_build_matrix(_integer_forms(substituted, degrees)[0], n, degrees))
+        value = _det_ratio(*_build_matrix(_integer_forms(substituted, degrees)[0], degrees))
         if value is not None:
             return value / (scale * det_t ** math.prod(degrees))
-    if _rank_deficient(forms, n, degrees):
+    if _rank_deficient(forms, degrees):
         return Fraction(0)
     return _pencil_value(*matrix) / scale
 

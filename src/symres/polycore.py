@@ -268,9 +268,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: tuple[int, ...]) -> Scalar:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def total_degree(self) -> int:
         """Maximum term degree; 0 for the zero polynomial."""
         if not self.terms:
@@ -302,16 +299,6 @@ class MultiPoly:
                     term = term * x
             total = total + term
         return total
-
-    def is_symmetric(self) -> bool:
-        """True iff invariant under all adjacent variable transpositions."""
-        for i in range(self.num_vars - 1):
-            for exps, c in self.terms.items():
-                swapped = list(exps)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if self.terms.get(tuple(swapped)) != c:
-                    return False
-        return True
 
     def substitute_linear(self, matrix: list[list[ScalarLike]]) -> "MultiPoly":
         """Compose with a linear change of variables: x_i -> sum_j m[i][j] x_j."""

@@ -121,22 +121,6 @@ class SymmetricCubic:
         b = (6 * self.a1 * self.a3 + self.a2 * self.a3 - self.a2 ** 2) / (self.a3 * d)
         return ReducedParams(a=a, b=b, d=d, radicand=a * a - b)
 
-    def reduced_system(self) -> list[MultiPoly]:
-        """The n reduced forms F_i = x_i^2 + 2a*x_i*s1 + b*s1^2.
-
-        They equal (1/a3)*dS_i + (a2+a3)/(a3*d) * sum_j dS_j: the linear
-        combination eliminates the s2 term.
-        """
-        rp = self.reduced_params()
-        n = self.n
-        s1 = elem_sym(n, 1)
-        shared = s1 * s1 * rp.b
-        forms = []
-        for i in range(n):
-            xi = MultiPoly.variable(n, i)
-            forms.append(xi * xi + xi * s1 * (2 * rp.a) + shared)
-        return forms
-
     def normalized_numerators(self) -> tuple[int, int, int, int]:
         """(B1, B2, B3, Q) with b_i = B_i/Q on the one denominator Q = 6q, q
         the lcm of the denominators of a1, a2, a3."""
@@ -151,33 +135,3 @@ class SymmetricCubic:
         """Exact linear coefficient change (b1, b2, b3); always defined."""
         b1, b2, _, q = self.normalized_numerators()
         return NormalizedCoeffs(b1=Fraction(b1, q), b2=Fraction(b2, q), b3=self.a3)
-
-
-def decompose(p: MultiPoly) -> SymmetricCubic:
-    """Recover the unique (a1, a2, a3) with expand() == p.
-
-    The coefficients of x1^3, x1^2*x2 and x1*x2*x3 determine the triple
-    through a triangular system: probing beats solving a generic linear
-    system and is exact.
-    """
-    n = p.num_vars
-    if n < 3:
-        raise ValueError(f"need at least 3 variables, got {n}")
-    if p.is_zero():
-        raise ValueError("the zero polynomial is not a valid symmetric cubic")
-    if not p.is_homogeneous() or p.total_degree() != 3:
-        raise ValueError("polynomial is not homogeneous of degree 3")
-    if not p.is_symmetric():
-        raise ValueError("polynomial is not symmetric")
-
-    def probe(*exps_head: int) -> Fraction:
-        exps = tuple(list(exps_head) + [0] * (n - len(exps_head)))
-        return p.coefficient(exps)
-
-    c_cube = probe(3)        # a1
-    c_square = probe(2, 1)   # 3*a1 + a2
-    c_mixed = probe(1, 1, 1)  # 6*a1 + 3*a2 + a3
-    a1 = c_cube
-    a2 = c_square - 3 * a1
-    a3 = c_mixed - 6 * a1 - 3 * a2
-    return SymmetricCubic(n, a1, a2, a3)

@@ -56,7 +56,7 @@ def sign_vector_product(rp, n):
 def grouped_product(rp, n):
     """The reduced system's resultant as the chain expands it: the product of
     its grouped factors g_k ** C(n-1, k)."""
-    return _expand(Fraction(1), 0, _grouped_factors(rp, n))[0]
+    return _expand(Fraction(1), _grouped_factors(rp, n, Fraction(1)))[0]
 
 
 _CASE_CACHE = {}

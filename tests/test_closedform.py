@@ -265,6 +265,20 @@ def test_grouped_exponents_sum_to_half_the_vectors():
         assert sum(math.comb(n - 1, k) for k in range(n)) == 2 ** (n - 1)
 
 
+def test_grouped_factors_mirror_the_half_they_form():
+    # g_k depends on k only through (n - 2k)^2, so the chain forms k <= n/2
+    # and mirrors them: every factor equals its definition, lift included
+    rng = random.Random(61)
+    for n in range(3, 13):
+        for _ in range(5):
+            rp = synthetic_params(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                  Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            lift = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            c = 1 + n * rp.a
+            assert symres.closedform._grouped_factors(rp, n, lift) == [
+                (c * c - rp.radicand * (n - 2 * k) ** 2) * lift for k in range(n)]
+
+
 # -- reduction chain ------------------------------------------------------------------
 
 def test_reduction_chain_power_sums():

@@ -1,8 +1,10 @@
 """Module ownership, read from the sources: the CLI owns the wire format, the
 closed form stays independent of the oracle that checks it, every name the
-benchmark's tracer binds exists, every public name has a user outside the
-tests, and every private helper has a user in the sources."""
+benchmark's tracer binds exists, every public name and public method has a
+user in the library or the benchmark (not only in tests or demos), and every
+private helper has a user in the sources."""
 import ast
+import collections
 import importlib.util
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import symres.oracle
 from symres.polycore import MultiPoly
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symres"
+BENCHMARK = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 
 
 def imported_names(path):
@@ -85,13 +88,27 @@ def test_perfbench_tracer_binds_every_name_it_traces(monkeypatch):
 
 def test_every_public_name_is_used_outside_the_tests():
     # a name only tests use is a second implementation kept for them; it
-    # belongs in tests/. Definitions do not count, and __init__.py only
-    # re-exports.
-    root = PACKAGE.parent.parent
+    # belongs in tests/. A demo shows the library and keeps no name alive.
+    # Definitions do not count, and __init__.py only re-exports.
     sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    sources += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
-    used = set().union(*(used_names(parse(path)) for path in sources))
+    used = set().union(*(used_names(parse(path)) for path in sources + BENCHMARK))
     assert sorted(set(symres.__all__) - used) == []
+
+
+def test_every_public_method_has_a_user_in_the_sources():
+    # a public method of a library class that neither the library (outside
+    # the method itself) nor the benchmark refers to is kept only for tests
+    # or demos; the benchmark's tracer names methods by string
+    trees = [parse(path) for path in PACKAGE.glob("*.py")]
+    uses = collections.Counter(name for tree in trees for name in used_names(tree))
+    benchmark = set().union(*(used_names(parse(path)) for path in BENCHMARK))
+    methods = [node for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert methods
+    unused = [method.name for method in methods if method.name not in benchmark
+              and uses[method.name] == list(used_names(method)).count(method.name)]
+    assert unused == []
 
 
 def test_every_private_helper_is_used_by_the_sources():

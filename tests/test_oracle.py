@@ -135,7 +135,7 @@ def stratum_cubics(n):
 def macaulay_matrices(sc):
     """The integer Macaulay matrix M and its minor M' of the gradient system."""
     forms, _ = _integer_forms(sc.gradient_system(), [2] * sc.n)
-    rows, non_reduced = _build_matrix(forms, sc.n, [2] * sc.n)
+    rows, non_reduced = _build_matrix(forms, [2] * sc.n)
     return rows, [[rows[r][c] for c in non_reduced] for r in non_reduced]
 
 
@@ -389,7 +389,7 @@ def test_columns_are_the_degree_nu_monomials_in_descending_grevlex(degrees):
     # gradient systems at n = 3..5 and the n = 3 configuratrix; the reference
     # sorts every exponent vector of degree nu by grevlex_key
     n = len(degrees)
-    nu, col_index = _columns(n, degrees)
+    nu, col_index = _columns(degrees)
     assert nu == sum(degrees) - n + 1
     vectors = [e for e in itertools.product(range(nu + 1), repeat=n) if sum(e) == nu]
     expected = sorted(vectors, key=grevlex_key, reverse=True)
@@ -461,7 +461,7 @@ def test_macaulay_pencil_matches_closed_form_random():
         sc = SymmetricCubic(3, *(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                  for _ in range(3)))
         forms, scale = _integer_forms(sc.gradient_system(), [2, 2, 2])
-        values.append(_pencil_value(*_build_matrix(forms, 3, [2, 2, 2])) / scale)
+        values.append(_pencil_value(*_build_matrix(forms, [2, 2, 2])) / scale)
         assert values[-1] == closed_form_resultant(sc).canonical_value
     assert sum(1 for v in values if v != 0) >= 8
 
@@ -478,7 +478,7 @@ def test_macaulay_pencil_matches_sylvester_mixed_degrees():
             forms.append(MultiPoly(2, {(d - i, i): Fraction(rng.randint(1, 9), den)
                                        for i in range(d + 1)}))
         cleared, scale = _integer_forms(forms, list(degrees))
-        value = _pencil_value(*_build_matrix(cleared, 2, list(degrees))) / scale
+        value = _pencil_value(*_build_matrix(cleared, list(degrees))) / scale
         assert value == sylvester_resultant(*forms)
 
 
@@ -531,7 +531,7 @@ def test_macaulay_strategy_pins(monkeypatch, forms, degrees, value, substitution
 
 def gradient_rank_deficient(sc):
     forms, _ = _integer_forms(sc.gradient_system(), [2] * sc.n)
-    return _rank_deficient(forms, sc.n, [2] * sc.n)
+    return _rank_deficient(forms, [2] * sc.n)
 
 
 # The other n = 5 strata take 0.5-3.3 s each on their 350 x 210 matrices (full
@@ -583,8 +583,7 @@ def test_homogeneity_exponent_counts_reduced_rows(n):
     primes = (2, 3, 5, 7)
     for degrees in itertools.product((1, 2, 3), repeat=n):
         powers = [tuple(d if j == i else 0 for j in range(n)) for i, d in enumerate(degrees)]
-        rows, non_reduced = _build_matrix([{e: p} for e, p in zip(powers, primes)],
-                                          n, list(degrees))
+        rows, non_reduced = _build_matrix([{e: p} for e, p in zip(powers, primes)], list(degrees))
         reduced = collections.Counter(rows[r][r] for r in set(range(len(rows))) - set(non_reduced))
         total = math.prod(degrees)
         assert reduced == {p: total // d for p, d in zip(primes, degrees)}
@@ -602,8 +601,8 @@ def sylvester_resultant(f, g):
     matrix, coefficients in decreasing powers of the first variable; the
     convention matches the Macaulay normalization (R{x^m, y^p} = 1)."""
     m, p = f.total_degree(), g.total_degree()
-    a = [f.coefficient((m - i, i)) for i in range(m + 1)]
-    b = [g.coefficient((p - i, i)) for i in range(p + 1)]
+    a = [f.terms.get((m - i, i), Fraction(0)) for i in range(m + 1)]
+    b = [g.terms.get((p - i, i), Fraction(0)) for i in range(p + 1)]
     rows = []
     for coeffs, shifts in ((a, p), (b, m)):
         for j in range(shifts):

@@ -5,9 +5,9 @@ import pytest
 
 from symres.cli import read_cubic
 from symres.polycore import MultiPoly, QuadExt, elem_sym
-from symres.symcubic import SymmetricCubic, TransformationUndefinedError, decompose
+from symres.symcubic import SymmetricCubic, TransformationUndefinedError
 
-from test_polycore import partial
+from test_polycore import is_symmetric, partial
 
 
 def random_cubic(rng, n, lo=-9, hi=9, denominators=False):
@@ -21,6 +21,22 @@ def random_cubic(rng, n, lo=-9, hi=9, denominators=False):
 
 
 POWER_SUM_CUBES = MultiPoly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+
+
+def coefficient(form, *variables):
+    """The coefficient of the product of the given variables (0-based) in form."""
+    return form.terms.get(tuple(map(variables.count, range(form.num_vars))), 0)
+
+
+def probes(p):
+    """The coefficients of x1^3, x1^2*x2 and x1*x2*x3, which in the s-basis
+    are a1, 3*a1 + a2 and 6*a1 + 3*a2 + a3: a triangular system, so the
+    three determine the cubic."""
+    return coefficient(p, 0, 0, 0), coefficient(p, 0, 0, 1), coefficient(p, 0, 1, 2)
+
+
+def probed(a1, a2, a3):
+    return a1, 3 * a1 + a2, 6 * a1 + 3 * a2 + a3
 
 
 # -- construction invariants --------------------------------------------------
@@ -67,39 +83,44 @@ def test_expand_is_symmetric_random():
     rng = random.Random(21)
     for _ in range(10):
         sc = random_cubic(rng, rng.choice([3, 4, 5]), denominators=True)
-        assert sc.expand().is_symmetric()
+        assert is_symmetric(sc.expand())
 
 
-# -- decompose ------------------------------------------------------------------
+# -- the three probe coefficients of expand() ---------------------------------------
 
 def test_decompose_s3():
-    sc = decompose(MultiPoly(3, {(1, 1, 1): 1}))
-    assert (sc.a1, sc.a2, sc.a3) == (0, 0, 1)
+    s3 = MultiPoly(3, {(1, 1, 1): 1})
+    assert SymmetricCubic(3, 0, 0, 1).expand() == s3
+    assert probes(s3) == probed(0, 0, 1) == (0, 0, 1)
 
 
 def test_decompose_power_sums():
-    sc = decompose(POWER_SUM_CUBES)
-    assert (sc.a1, sc.a2, sc.a3) == (1, -3, 3)
+    assert SymmetricCubic(3, 1, -3, 3).expand() == POWER_SUM_CUBES
+    assert probes(POWER_SUM_CUBES) == probed(1, -3, 3) == (1, 0, 0)
 
 
 def test_decompose_rejects_non_symmetric():
-    with pytest.raises(ValueError):
-        decompose(MultiPoly(2, {(2, 1): 1}))
+    # x1^2*x2 probes as (a1, a2, a3) = (0, 1, -3), whose expansion it is not:
+    # the probes name a cubic only for a symmetric polynomial
+    p = MultiPoly(3, {(2, 1, 0): 1})
+    assert not is_symmetric(p)
+    assert probes(p) == probed(0, 1, -3)
+    assert SymmetricCubic(3, 0, 1, -3).expand() != p
 
 
 def test_decompose_rejects_inhomogeneous_and_wrong_degree():
-    with pytest.raises(ValueError):
-        decompose(MultiPoly(3, {(1, 1, 1): 1, (1, 0, 0): 1}))
-    with pytest.raises(ValueError):
-        decompose(elem_sym(3, 2))
+    # every expansion is a cubic form, which these two polynomials are not
+    for sc in (SymmetricCubic(3, 1, 0, 0), SymmetricCubic(4, 0, 1, 0), SymmetricCubic(5, 0, 0, 1)):
+        assert sc.expand().is_homogeneous() and sc.expand().total_degree() == 3
+    assert not MultiPoly(3, {(1, 1, 1): 1, (1, 0, 0): 1}).is_homogeneous()
+    assert elem_sym(3, 2).total_degree() == 2
 
 
 def test_decompose_round_trip_random():
     rng = random.Random(4)
     for _ in range(30):
         sc = random_cubic(rng, rng.choice([3, 4, 5]), denominators=True)
-        back = decompose(sc.expand())
-        assert back == sc
+        assert probes(sc.expand()) == probed(sc.a1, sc.a2, sc.a3)
 
 
 # -- gradient system -------------------------------------------------------------
@@ -175,25 +196,46 @@ def test_reduced_params_undefined():
         SymmetricCubic(3, 1, -1, 3).reduced_params()  # d = 0
 
 
+def reduced_forms(sc):
+    """The n reduced forms F_i = x_i^2 + 2a*x_i*s1 + b*s1^2, from reduced_params."""
+    rp, s1 = sc.reduced_params(), elem_sym(sc.n, 1)
+    xs = [MultiPoly.variable(sc.n, i) for i in range(sc.n)]
+    return [x * x + x * s1 * (2 * rp.a) + s1 * s1 * rp.b for x in xs]
+
+
+def combined_gradients(sc):
+    """dS_i/a3 + (a2+a3)/(a3*d) * sum_j dS_j, the combination the chain's
+    reduction takes: it eliminates the s2 term."""
+    grads = sc.gradient_system()
+    grad_sum = MultiPoly.zero(sc.n)
+    for g in grads:
+        grad_sum = grad_sum + g
+    mix = (sc.a2 + sc.a3) / (sc.a3 * sc.reduced_params().d)
+    return [g * (1 / sc.a3) + grad_sum * mix for g in grads]
+
+
 def test_reduced_system_power_sums():
-    forms = SymmetricCubic(3, 1, -3, 3).reduced_system()
-    assert forms == [
+    sc = SymmetricCubic(3, 1, -3, 3)
+    expected = [
         MultiPoly(3, {(2, 0, 0): 1}),
         MultiPoly(3, {(0, 2, 0): 1}),
         MultiPoly(3, {(0, 0, 2): 1}),
     ]
+    assert reduced_forms(sc) == combined_gradients(sc) == expected
 
 
 def test_reduced_system_pure_s3():
     # F_i = x_i^2 - x_i*s1 (a = -1/2, b = 0)
     sc = SymmetricCubic(3, 0, 0, 1)
     s1 = elem_sym(3, 1)
-    for i, form in enumerate(sc.reduced_system()):
+    for i, form in enumerate(combined_gradients(sc)):
         xi = MultiPoly.variable(3, i)
         assert form == xi * xi - xi * s1
 
 
 def test_reduced_system_structure_random():
+    # read a and b back off the combined gradients' coefficients:
+    # [x_i^2] = 1 + 2a + b, [x_i*x_j] = 2a + 2b, [x_j^2] = b, [x_j*x_k] = 2b
     rng = random.Random(31)
     checked = 0
     while checked < 15:
@@ -202,11 +244,12 @@ def test_reduced_system_structure_random():
             rp = sc.reduced_params()
         except TransformationUndefinedError:
             continue
-        s1 = elem_sym(sc.n, 1)
-        s1sq = s1 * s1
-        for i, form in enumerate(sc.reduced_system()):
-            xi = MultiPoly.variable(sc.n, i)
-            assert form - (xi * xi + xi * s1 * (2 * rp.a) + s1sq * rp.b) == MultiPoly.zero(sc.n)
+        for i, form in enumerate(combined_gradients(sc)):
+            j, k = (i + 1) % sc.n, (i + 2) % sc.n
+            assert coefficient(form, i, i) == 1 + 2 * rp.a + rp.b
+            assert coefficient(form, i, j) == 2 * rp.a + 2 * rp.b
+            assert coefficient(form, j, j) == rp.b
+            assert coefficient(form, j, k) == 2 * rp.b
         checked += 1
 
 
@@ -218,16 +261,10 @@ def test_reduced_system_is_linear_transform_of_gradients_random():
         while checked < 4:
             sc = random_cubic(rng, n, denominators=True)
             try:
-                rp = sc.reduced_params()
+                sc.reduced_params()
             except TransformationUndefinedError:
                 continue
-            grads = sc.gradient_system()
-            grad_sum = MultiPoly.zero(n)
-            for g in grads:
-                grad_sum = grad_sum + g
-            mix = (sc.a2 + sc.a3) / (sc.a3 * rp.d)
-            for i, form in enumerate(sc.reduced_system()):
-                assert form == grads[i] * (1 / sc.a3) + grad_sum * mix
+            assert combined_gradients(sc) == reduced_forms(sc)
             checked += 1
 
 
