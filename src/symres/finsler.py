@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 from .closedform import ResultantReport, closed_form_resultant
@@ -101,14 +102,14 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResu
     built.
 
     The value is R(grad S)^2 * Res(H_1, ..., H_n), H_i = dS/dx_i - 3*y_i*l^2
-    with l = y.x = sum y_i*x_i: n quadrics in n variables. With F_0 = S - x0^3
+    with l = y.x = sum y_i*x_i: n quadrics in n variables, formed term by term
+    (l^2 has y_j^2 on x_j^2 and 2*y_j*y_l on x_j*x_l). With F_0 = S - x0^3
     and F_i = dS/dx_i - 3*y_i*x0^2 (``configuratrix_system``), the resultant
     rules give it (Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 3 S3;
     Jouanolou, Le formalisme du resultant, Adv. Math. 90, 1991):
 
     * Euler's relation gives F_0 - (1/3)*sum x_i*F_i = -x0^2*(x0 - l), and
-      adding multiples of the other forms to F_0 leaves the resultant as it
-      is.
+      adding multiples of the other forms to F_0 leaves the resultant as is.
     * The resultant is multiplicative in F_0, and the constant -1 comes out
       as (-1)^(2^n) = 1, since it has degree 2^n in F_0's coefficients.
     * Res(x0, F_1, ..., F_n) is the resultant of the F_i at x0 = 0, the
@@ -124,8 +125,10 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResu
         return ConfiguratrixResult(
             value=Fraction(0), vanishes=True,
             diagnostic=DEGENERATE_METRIC_IDENTICALLY_ZERO)
-    line = MultiPoly(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(y.y)})
-    square = line * line
-    forms = tuple(grad - square * (3 * c) for grad, c in zip(m.s.gradient_system(), y.y))
+    ys, forms = y.y, tuple(MultiPoly.zero(n) for _ in range(n))
+    weights = {tuple(map((j, l).count, range(n))): 3 * (2 - (j == l)) * ys[j] * ys[l]
+               for j, l in combinations_with_replacement(range(n), 2)}
+    for form, grad, c in zip(forms, m.s.gradient_system(), ys):
+        form.terms = {e: h for e, w in weights.items() if (h := grad.terms.get(e, 0) - c * w)}
     value = report.canonical_value ** 2 * macaulay_resultant(MacaulaySystem(forms, (2,) * n))
     return ConfiguratrixResult(value=value, vanishes=value == 0, diagnostic=None)

@@ -12,6 +12,7 @@ order, which fixes the sign so that R{x_1^(d_1),...,x_n^(d_n)} = 1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,21 +193,35 @@ def _row(form, alpha, col_index) -> list[int]:
     return row
 
 
-def _build_matrix(forms, degrees):
-    """Macaulay rows (column order) of forms given as integer terms
-    {exponents: int}, and the non-reduced column indices."""
+@functools.lru_cache(maxsize=8)
+def _template(degrees: tuple[int, ...]):
+    """What the Macaulay matrix takes from the degrees alone: per row (column
+    order) its form index i and a map from each degree-d_i monomial to the
+    row's column; the column count; the non-reduced column indices."""
     _, col_index = _columns(degrees)
-    rows = []
-    non_reduced = []
+    monomials = {d: monomials_of_degree(len(degrees), d) for d in set(degrees)}
+    rows, non_reduced = [], []
     for ci, beta in enumerate(col_index):
         divisors = [i for i, d in enumerate(degrees) if beta[i] >= d]
         if len(divisors) >= 2:
             non_reduced.append(ci)
         i = divisors[0]
-        alpha = list(beta)
-        alpha[i] -= degrees[i]
-        rows.append(_row(forms[i], alpha, col_index))
-    return rows, non_reduced
+        alpha = beta[:i] + (beta[i] - degrees[i],) + beta[i + 1:]
+        rows.append((i, {e: col_index[tuple(map(add, e, alpha))] for e in monomials[degrees[i]]}))
+    return tuple(rows), len(col_index), tuple(non_reduced)
+
+
+def _build_matrix(forms, degrees):
+    """Macaulay rows (column order) of forms given as integer terms
+    {exponents: int}, and the non-reduced column indices: fresh lists."""
+    template, size, non_reduced = _template(tuple(degrees))
+    rows = []
+    for i, columns in template:
+        row = [0] * size
+        for exps, c in forms[i].items():
+            row[columns[exps]] = c
+        rows.append(row)
+    return rows, list(non_reduced)
 
 
 def _rank_deficient(forms, degrees) -> bool:

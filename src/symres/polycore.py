@@ -191,14 +191,6 @@ class MultiPoly:
     def zero(cls, num_vars: int) -> "MultiPoly":
         return cls(num_vars)
 
-    @classmethod
-    def variable(cls, num_vars: int, index: int) -> "MultiPoly":
-        if not 0 <= index < num_vars:
-            raise ValueError(f"variable index {index} out of range for {num_vars} variables")
-        exps = [0] * num_vars
-        exps[index] = 1
-        return cls(num_vars, {tuple(exps): 1})
-
     # -- ring operations ---------------------------------------------------
 
     def _check_same_vars(self, other: "MultiPoly") -> None:

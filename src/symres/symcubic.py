@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import MultiPoly, ScalarLike, _exact, elem_sym
+from .polycore import MultiPoly, ScalarLike, _exact, elem_sym, monomials_of_degree
 
 
 class TransformationUndefinedError(ValueError):
@@ -103,10 +103,17 @@ class SymmetricCubic:
         return lambda x: x * x * self.a3 - x * cross + shared
 
     def gradient_system(self) -> list[MultiPoly]:
-        """The n quadratic forms dS/dx_i."""
-        n = self.n
-        form = self.gradient_given(elem_sym(n, 1), elem_sym(n, 2))
-        return [form(MultiPoly.variable(n, i)) for i in range(n)]
+        """The n quadratic forms dS/dx_i. `gradient_given`'s formula at x = x_i
+        puts 3a1 on x_i^2, 6a1 + 2a2 on x_i*x_j, 3a1 + a2 on x_j^2 and
+        6a1 + 3a2 + a3 on x_j*x_l (j, l != i), told apart by (e_i, max e) of
+        the exponent vector e; a zero coefficient is left out."""
+        n, a1, a2, a3 = self.n, self.a1, self.a2, self.a3
+        by_shape = {(2, 2): 3 * a1, (1, 1): 6 * a1 + 2 * a2, (0, 2): 3 * a1 + a2,
+                    (0, 1): 6 * a1 + 3 * a2 + a3}
+        monomials, forms = monomials_of_degree(n, 2), [MultiPoly.zero(n) for _ in range(n)]
+        for i, form in enumerate(forms):
+            form.terms = {e: c for e in monomials if (c := by_shape[e[i], max(e)])}
+        return forms
 
     # -- coefficient transformations ------------------------------------------
 

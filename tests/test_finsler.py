@@ -5,6 +5,7 @@ import pytest
 
 import symres.finsler
 import symres.oracle
+from symres.closedform import closed_form_resultant
 from symres.finsler import (
     DEGENERATE_METRIC_IDENTICALLY_ZERO,
     MetricFunction,
@@ -16,6 +17,8 @@ from symres.finsler import (
 from symres.oracle import MacaulaySystem, MatrixSizeError, macaulay_resultant
 from symres.polycore import MultiPoly
 from symres.symcubic import SymmetricCubic
+
+from test_polycore import partial
 
 POWER_SUM_METRIC = MetricFunction(SymmetricCubic(3, 1, -3, 3))
 PRODUCT_METRIC = MetricFunction(SymmetricCubic(3, 0, 0, 1))
@@ -264,3 +267,97 @@ def test_configuratrix_does_not_build_the_homogenized_system(monkeypatch):
         for i in range(2):
             result = configuratrix_resultant(*seeded_pair(kind, i))
             assert result.vanishes == (kind not in ("generic", "tall", "power-sum"))
+
+
+# -- the n quadrics against polynomial arithmetic ----------------------------------
+
+def reference_quadrics(m, y):
+    """grad_i - 3*y_i*(y.x)^2 by MultiPoly arithmetic, each gradient by the
+    power rule on the expanded cubic."""
+    n, expanded = m.s.n, m.s.expand()
+    line = MultiPoly(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(y.y)})
+    return [partial(expanded, i) - line * line * (3 * c) for i, c in enumerate(y.y)]
+
+
+def with_zeros(y, i):
+    """The momentum, the same with entry i % n set to 0, and the zero momentum."""
+    zeroed = list(y.y)
+    zeroed[i % len(zeroed)] = 0
+    return y, Momentum.of(zeroed), Momentum.of([0] * len(zeroed))
+
+
+def test_configuratrix_quadrics_equal_the_polynomial_reference(monkeypatch):
+    # n = 3 on every nondegenerate seeded kind and n = 4 (the size rule raised
+    # as in the n = 4 test above), each momentum also with zero entries
+    systems = []
+
+    def captured(system):
+        systems.append(system)
+        return macaulay_resultant(system)
+
+    monkeypatch.setattr(symres.finsler, "macaulay_resultant", captured)
+    monkeypatch.setattr(symres.oracle, "MAX_MATRIX_ENTRIES", 330 ** 2)
+    rng = random.Random("configuratrix-quadrics-n4")
+    pairs = [seeded_pair(kind, i) for kind in PAIR_KINDS if kind != "degenerate"
+             for i in range(4)]
+    pairs += [(_metric(rng, 4), Momentum.of([_rat(rng, 9, 4) for _ in range(4)]))
+              for _ in range(3)]
+    for i, (m, y) in enumerate(pairs):
+        for momentum in with_zeros(y, i):
+            systems.clear()
+            configuratrix_resultant(m, momentum)
+            (system,) = systems
+            assert system.degrees == (2,) * m.s.n
+            assert list(system.forms) == reference_quadrics(m, momentum), (i, momentum)
+
+
+# -- the configuratrix along the diagonal -------------------------------------------
+
+def diagonal_values(sc):
+    """T_k for 0 <= k < n/2: the root of Y_k(a1 - T), the closed form's
+    factor Y_k = (6*(n-2k)^2*b1*b3^2 - k*(n-k)*b2^3)/n^2 with a1 lowered by T,
+    which lowers b1 by n^2*T."""
+    n, b = sc.n, sc.normalized_coeffs()
+    return [(b.b1 - k * (n - k) * b.b2 ** 3 / (6 * (n - 2 * k) ** 2 * b.b3 ** 2)) / n ** 2
+            for k in range((n + 1) // 2)]
+
+
+def diagonal_law(m, t):
+    """R(grad S)^2 * R(grad S_T), S_T the cubic with a1 - t^3, by the closed form."""
+    s = m.s
+    shifted = SymmetricCubic(s.n, s.a1 - t ** 3, s.a2, s.a3)
+    return (closed_form_resultant(s).canonical_value ** 2
+            * closed_form_resultant(shifted).canonical_value)
+
+
+def attainable_diagonal_pair(rng, n):
+    """A nondegenerate metric and a t with t^3 = T_k for a random k: a1 is
+    chosen so, since T_k moves with a1 one for one."""
+    while True:
+        a2, a3, t = _rat(rng, 9, 4), _rat(rng, 9, 4), _rat(rng, 5, 3)
+        if not a3:
+            continue
+        k = rng.randrange((n + 1) // 2)
+        a1 = t ** 3 - diagonal_values(SymmetricCubic(n, 0, a2, a3))[k]
+        m = MetricFunction(SymmetricCubic(n, a1, a2, a3))
+        if not indicatrix_degenerate(m)[0]:
+            assert diagonal_values(m.s)[k] == t ** 3
+            return m, t
+
+
+def test_configuratrix_on_the_diagonal_is_the_closed_form_product(monkeypatch):
+    # at y = t*(1, ..., 1), y.x = t*s1, so H_i = d/dx_i (S - t^3*s1^3): the
+    # gradient system of S_T. The closed form shares no code with the
+    # quadrics or the Macaulay matrix they go through.
+    monkeypatch.setattr(symres.oracle, "MAX_MATRIX_ENTRIES", 330 ** 2)
+    rng = random.Random("configuratrix-diagonal")
+    pairs = [(_metric(rng, 3), _rat(rng, 5, 3)) for _ in range(52)]
+    pairs += [(POWER_SUM_METRIC, Fraction(0)), (POWER_SUM_METRIC, Fraction(1))]
+    pairs += [(_metric(rng, 4), _rat(rng, 5, 3)) for _ in range(6)]
+    for m, t in pairs:
+        assert configuratrix_resultant(m, Momentum.of([t] * m.s.n)).value == diagonal_law(m, t)
+    for n in (3, 4):
+        for _ in range(6):
+            m, t = attainable_diagonal_pair(rng, n)
+            assert configuratrix_resultant(m, Momentum.of([t] * n)).value == 0
+            assert diagonal_law(m, t) == 0

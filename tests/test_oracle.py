@@ -19,6 +19,7 @@ from symres.oracle import (
     _integer_forms,
     _pencil_value,
     _rank_deficient,
+    _row,
     check_macaulay_size,
     det_bareiss,
     det_rational,
@@ -26,7 +27,7 @@ from symres.oracle import (
     root_witness,
     verify_witness,
 )
-from symres.polycore import MultiPoly, QuadExt, grevlex_key
+from symres.polycore import MultiPoly, QuadExt, grevlex_key, monomials_of_degree
 from symres.closedform import closed_form_resultant
 from symres.symcubic import SymmetricCubic
 
@@ -395,6 +396,89 @@ def test_columns_are_the_degree_nu_monomials_in_descending_grevlex(degrees):
     expected = sorted(vectors, key=grevlex_key, reverse=True)
     assert col_index == {mono: i for i, mono in enumerate(expected)}
     assert list(col_index) == expected
+
+
+def uncached_matrix(forms, degrees):
+    """The reference build: each column beta's row x^alpha * F_i, i the least
+    index with x_i^(d_i) dividing x^beta, from `_columns` and `_row`."""
+    _, col_index = _columns(degrees)
+    rows, non_reduced = [], []
+    for ci, beta in enumerate(col_index):
+        divisors = [i for i, d in enumerate(degrees) if beta[i] >= d]
+        if len(divisors) >= 2:
+            non_reduced.append(ci)
+        alpha = list(beta)
+        alpha[divisors[0]] -= degrees[divisors[0]]
+        rows.append(_row(forms[divisors[0]], alpha, col_index))
+    return rows, non_reduced
+
+
+def random_integer_forms(rng, degrees):
+    """Integer forms {exponents: int} of the given degrees, each monomial
+    present with probability 0.8 (the first always)."""
+    n = len(degrees)
+    return [{e: rng.choice([-1, 1]) * rng.randint(1, 10 ** 6)
+             for j, e in enumerate(monomials_of_degree(n, d)) if not j or rng.random() < 0.8}
+            for d in degrees]
+
+
+TEMPLATE_DEGREES = [(2, 2, 2), (2, 2, 2, 2), (2,) * 5, (3, 2, 2, 2), (1, 2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("degrees", TEMPLATE_DEGREES)
+def test_build_matrix_equals_the_uncached_build(degrees):
+    rng = random.Random(f"template-{degrees}")
+    for _ in range(3):
+        forms = random_integer_forms(rng, degrees)
+        assert _build_matrix(forms, list(degrees)) == uncached_matrix(forms, degrees)
+
+
+@pytest.mark.parametrize("degrees", TEMPLATE_DEGREES)
+def test_build_matrix_returns_fresh_lists(degrees):
+    # the template is shared by every build of its degrees; what a caller
+    # gets back is its own
+    forms = random_integer_forms(random.Random(f"fresh-{degrees}"), degrees)
+    expected = uncached_matrix(forms, degrees)
+    rows, non_reduced = _build_matrix(forms, list(degrees))
+    for row in rows:
+        row[:] = [7] * (len(row) + 1)
+    rows.append([1])
+    non_reduced[:] = [-1]
+    assert _build_matrix(forms, list(degrees)) == expected
+
+
+def counted_monomials(monkeypatch):
+    """The calls of monomials_of_degree, as the oracle binds it, from an
+    empty template cache on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return monomials_of_degree(*args)
+
+    monkeypatch.setattr(symres.oracle, "monomials_of_degree", counted)
+    symres.oracle._template.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("degrees", TEMPLATE_DEGREES)
+def test_monomials_are_enumerated_only_on_the_first_build(monkeypatch, degrees):
+    calls = counted_monomials(monkeypatch)
+    rng = random.Random(f"first-build-{degrees}")
+    for _ in range(3):
+        _build_matrix(random_integer_forms(rng, degrees), list(degrees))
+    n, nu = len(degrees), sum(degrees) - len(degrees) + 1
+    assert sorted(calls) == sorted([(n, nu)] + [(n, d) for d in set(degrees)])
+
+
+def test_retries_reuse_the_template(monkeypatch):
+    # the direct ratio and each substitution seed build from one template;
+    # the one-seed system below runs both
+    calls = counted_monomials(monkeypatch)
+    system = MacaulaySystem.from_forms(SymmetricCubic(3, 0, 1, 1).gradient_system())
+    for _ in range(2):
+        assert macaulay_resultant(system) == -2160
+        assert calls == [(3, 4), (3, 2)]
 
 
 def test_macaulay_system_validation():

@@ -7,7 +7,7 @@ from symres.cli import read_cubic
 from symres.polycore import MultiPoly, QuadExt, elem_sym
 from symres.symcubic import SymmetricCubic, TransformationUndefinedError
 
-from test_polycore import is_symmetric, partial
+from test_polycore import is_symmetric, partial, variable
 
 
 def random_cubic(rng, n, lo=-9, hi=9, denominators=False):
@@ -159,6 +159,41 @@ def test_gradient_matches_differentiation_random():
                 assert form == partial(expanded, i)
 
 
+def zero_class_cubics(rng, n):
+    """Cubics on which gradient_system's coefficient classes vanish: 3a1
+    (a1 = 0); 6a1 + 2a2 and 3a1 + a2 (a2 = -3a1); all but 3a1 (the power
+    sums); and the a3 = 0, d = 0 and b1 = 0 strata."""
+    def nonzero():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    a1, a2, a3 = nonzero(), nonzero(), nonzero()
+    return {
+        "a1-zero": SymmetricCubic(n, 0, a2, a3),
+        "a2-minus-3a1": SymmetricCubic(n, a1, -3 * a1, a3),
+        "power-sums": SymmetricCubic(n, 1, -3, 3),
+        "a3-zero": SymmetricCubic(n, a1, a2, 0),
+        "d-zero": SymmetricCubic(n, a1, (2 - n) * a3 / n, a3),
+        "b1-zero": SymmetricCubic(
+            n, -(n * (n - 1) * a2 / 2 + (n - 1) * (n - 2) * a3 / 6) / n ** 2, a2, a3),
+    }
+
+
+@pytest.mark.parametrize("stratum", ["a1-zero", "a2-minus-3a1", "power-sums", "a3-zero",
+                                     "d-zero", "b1-zero"])
+def test_gradient_matches_differentiation_on_zero_strata(stratum):
+    # structural equality with the power rule's canonical forms: a zero
+    # stored for a vanishing class would fail it
+    rng = random.Random(f"zero-class-{stratum}")
+    for n in range(3, 9):
+        for _ in range(2):
+            sc = zero_class_cubics(rng, n)[stratum]
+            expanded = sc.expand()
+            forms = sc.gradient_system()
+            assert forms == [partial(expanded, i) for i in range(n)], (stratum, n)
+            if stratum in ("a1-zero", "a2-minus-3a1", "power-sums"):
+                assert len(forms[0].terms) < n * (n + 1) // 2
+
+
 def test_gradient_given_matches_differentiation_at_points():
     rng = random.Random(21)
     for n in range(3, 9):
@@ -199,7 +234,7 @@ def test_reduced_params_undefined():
 def reduced_forms(sc):
     """The n reduced forms F_i = x_i^2 + 2a*x_i*s1 + b*s1^2, from reduced_params."""
     rp, s1 = sc.reduced_params(), elem_sym(sc.n, 1)
-    xs = [MultiPoly.variable(sc.n, i) for i in range(sc.n)]
+    xs = [variable(sc.n, i) for i in range(sc.n)]
     return [x * x + x * s1 * (2 * rp.a) + s1 * s1 * rp.b for x in xs]
 
 
@@ -229,7 +264,7 @@ def test_reduced_system_pure_s3():
     sc = SymmetricCubic(3, 0, 0, 1)
     s1 = elem_sym(3, 1)
     for i, form in enumerate(combined_gradients(sc)):
-        xi = MultiPoly.variable(3, i)
+        xi = variable(3, i)
         assert form == xi * xi - xi * s1
 
 
