@@ -17,6 +17,7 @@ Two solvability questions reduce to resultants:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -102,8 +103,7 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResu
     built.
 
     The value is R(grad S)^2 * Res(H_1, ..., H_n), H_i = dS/dx_i - 3*y_i*l^2
-    with l = y.x = sum y_i*x_i: n quadrics in n variables, formed term by term
-    (l^2 has y_j^2 on x_j^2 and 2*y_j*y_l on x_j*x_l). With F_0 = S - x0^3
+    with l = y.x = sum y_i*x_i: n quadrics in n variables. With F_0 = S - x0^3
     and F_i = dS/dx_i - 3*y_i*x0^2 (``configuratrix_system``), the resultant
     rules give it (Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 3 S3;
     Jouanolou, Le formalisme du resultant, Adv. Math. 90, 1991):
@@ -116,6 +116,15 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResu
       gradient system's R(grad S).
     * Res(x0 - l, F_1, ..., F_n) is the resultant of the F_i at x0 = l, by
       the determinant-1 substitution x0 -> x0 + l.
+
+    The quadrics are formed term by term in the scaled coordinates x = D*x',
+    D = diag(q_1, ..., q_n) with y_j = p_j/q_j, where l = sum p_j*x'_j is
+    integral: H_i(D*x') has g_e*q^e - 3*(p_i/q_i)*w_e on x'^e, g_e the
+    gradient's coefficient and w_e = p_j^2 on x'_j^2, 2*p_j*p_l on x'_j*x'_l.
+    So a Macaulay entry carries about H^3 of a height-H momentum, where the
+    coordinates x need H^6. Res(H o D) = det(D)^(2^n) * Res(H) (Cox-Little-
+    O'Shea, as above) and det(D) > 0, so the oracle's value is divided by
+    (q_1*...*q_n)^(2^n).
     """
     _check_momentum(m, y)
     n = m.s.n
@@ -125,10 +134,14 @@ def configuratrix_resultant(m: MetricFunction, y: Momentum) -> ConfiguratrixResu
         return ConfiguratrixResult(
             value=Fraction(0), vanishes=True,
             diagnostic=DEGENERATE_METRIC_IDENTICALLY_ZERO)
-    ys, forms = y.y, tuple(MultiPoly.zero(n) for _ in range(n))
-    weights = {tuple(map((j, l).count, range(n))): 3 * (2 - (j == l)) * ys[j] * ys[l]
+    ps, qs = [c.numerator for c in y.y], [c.denominator for c in y.y]
+    forms = tuple(MultiPoly.zero(n) for _ in range(n))
+    weights = {tuple(map((j, l).count, range(n))):
+               (qs[j] * qs[l], 3 * (2 - (j == l)) * ps[j] * ps[l])
                for j, l in combinations_with_replacement(range(n), 2)}
-    for form, grad, c in zip(forms, m.s.gradient_system(), ys):
-        form.terms = {e: h for e, w in weights.items() if (h := grad.terms.get(e, 0) - c * w)}
-    value = report.canonical_value ** 2 * macaulay_resultant(MacaulaySystem(forms, (2,) * n))
+    for form, grad, c in zip(forms, m.s.gradient_system(), y.y):
+        form.terms = {e: h for e, (qe, w) in weights.items()
+                      if (h := grad.terms.get(e, 0) * qe - c * w)}
+    value = (report.canonical_value ** 2 * macaulay_resultant(MacaulaySystem(forms, (2,) * n))
+             / math.prod(qs) ** (2 ** n))
     return ConfiguratrixResult(value=value, vanishes=value == 0, diagnostic=None)

@@ -279,6 +279,14 @@ def reference_quadrics(m, y):
     return [partial(expanded, i) - line * line * (3 * c) for i, c in enumerate(y.y)]
 
 
+def scaled(form, y):
+    """The form composed with x -> D*x, D = diag(q_1, ..., q_n), q_j the
+    denominator of y_j: the coordinates the quadrics are written in."""
+    qs = [c.denominator for c in y.y]
+    return form.substitute_linear([[q if j == i else 0 for j in range(len(qs))]
+                                   for i, q in enumerate(qs)])
+
+
 def with_zeros(y, i):
     """The momentum, the same with entry i % n set to 0, and the zero momentum."""
     zeroed = list(y.y)
@@ -288,7 +296,8 @@ def with_zeros(y, i):
 
 def test_configuratrix_quadrics_equal_the_polynomial_reference(monkeypatch):
     # n = 3 on every nondegenerate seeded kind and n = 4 (the size rule raised
-    # as in the n = 4 test above), each momentum also with zero entries
+    # as in the n = 4 test above), each momentum also with zero entries; the
+    # quadrics go to the oracle in the scaled coordinates x = D*x'
     systems = []
 
     def captured(system):
@@ -308,7 +317,50 @@ def test_configuratrix_quadrics_equal_the_polynomial_reference(monkeypatch):
             configuratrix_resultant(m, momentum)
             (system,) = systems
             assert system.degrees == (2,) * m.s.n
-            assert list(system.forms) == reference_quadrics(m, momentum), (i, momentum)
+            expected = [scaled(f, momentum) for f in reference_quadrics(m, momentum)]
+            assert list(system.forms) == expected, (i, momentum)
+
+
+def unscaled_value(m, y):
+    """R(grad S)^2 times the Macaulay resultant of the reference quadrics,
+    written in the original coordinates."""
+    forms = tuple(reference_quadrics(m, y))
+    return (indicatrix_degenerate(m)[1].canonical_value ** 2
+            * macaulay_resultant(MacaulaySystem(forms, (2,) * m.s.n)))
+
+
+LAW_MOMENTA = {
+    "coprime": ["2/3", "-5/7", "4/11"],
+    "shared-primes": ["1/6", "-7/10", "4/15"],
+    "all-one": [2, -3, 5],
+    "negative": ["-1/6", "-3/10", "-8/15"],
+    "zero-entries": [0, "3/10", "-1/6"],
+    "one-nonzero": [0, "-5/6", 0],
+    "tall": ["-9876543210987/6000000000000", "1234567890123/1000000000000",
+             "-5555555555555/1500000000001"],
+}
+
+
+@pytest.mark.parametrize("kind", LAW_MOMENTA)
+def test_scaling_divides_out_the_denominators_to_the_power_2_to_the_n(kind):
+    # Res(H o D) = det(D)^(2^n) * Res(H) for n quadrics: the value from the
+    # scaled coordinates equals the resultant of the unscaled quadrics
+    rng = random.Random(f"configuratrix-scaling-{kind}")
+    y = Momentum.of(LAW_MOMENTA[kind])
+    for m in (POWER_SUM_METRIC, _metric(rng), _metric(rng)):
+        assert configuratrix_resultant(m, y).value == unscaled_value(m, y), kind
+
+
+def test_scaling_law_at_n4(monkeypatch):
+    monkeypatch.setattr(symres.oracle, "MAX_MATRIX_ENTRIES", 330 ** 2)
+    rng = random.Random("configuratrix-scaling-n4")
+    momenta = (["1/6", "-7/10", "4/15", "2/21"], ["-3/4", 0, "5/9", "7/8"],
+               ["-9876543210987/6000000000000", "1/10", "-4/15", 3])
+    for entries in momenta:
+        m, y = _metric(rng, 4), Momentum.of(entries)
+        value = configuratrix_resultant(m, y).value
+        assert value != 0
+        assert value == unscaled_value(m, y), entries
 
 
 # -- the configuratrix along the diagonal -------------------------------------------

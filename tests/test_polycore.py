@@ -353,6 +353,7 @@ def test_constructors_refuse_binary_floats():
         lambda: QuadExt.lift(0.1, 2),
         lambda: variable(2, 0).scale(0.1),
         lambda: variable(2, 0) * 0.1,
+        lambda: variable(2, 0).substitute_linear([[0.1, 0], [0, 1]]),
     ]
     for build in refused:
         with pytest.raises(TypeError, match="float"):
