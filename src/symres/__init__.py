@@ -6,82 +6,32 @@ symmetric cubic in n >= 3 variables: a factored closed form, a
 reduction-chain evaluation, and an independent Macaulay-matrix oracle, plus
 common-root witnesses and the Finsler-geometry solvability questions the
 resultant answers.
+
+Importing the package loads no submodule: each public name is imported from
+its home module on first use, so a caller of the closed form never loads
+the oracle. A submodule itself (``symres.oracle``) is imported explicitly.
 """
 
-from .closedform import (
-    ReportFactor,
-    ResultantReport,
-    closed_form_resultant,
-    formula_to_canonical_ratio,
-    resultant_via_reduction,
-)
-from .finsler import (
-    DEGENERATE_METRIC_IDENTICALLY_ZERO,
-    ConfiguratrixResult,
-    MetricFunction,
-    Momentum,
-    configuratrix_resultant,
-    configuratrix_system,
-    indicatrix_degenerate,
-)
-from .oracle import (
-    MacaulaySystem,
-    MatrixSizeError,
-    RootWitness,
-    check_macaulay_size,
-    det_bareiss,
-    det_rational,
-    macaulay_resultant,
-    root_witness,
-    verify_witness,
-)
-from .polycore import (
-    MultiPoly,
-    QuadExt,
-    Scalar,
-    elem_sym,
-    grevlex_key,
-    monomials_of_degree,
-)
-from .symcubic import (
-    NormalizedCoeffs,
-    ReducedParams,
-    SymmetricCubic,
-    TransformationUndefinedError,
-)
+import importlib
 
-__all__ = [
-    "ConfiguratrixResult",
-    "DEGENERATE_METRIC_IDENTICALLY_ZERO",
-    "MacaulaySystem",
-    "MatrixSizeError",
-    "MetricFunction",
-    "Momentum",
-    "MultiPoly",
-    "NormalizedCoeffs",
-    "QuadExt",
-    "ReducedParams",
-    "ReportFactor",
-    "ResultantReport",
-    "RootWitness",
-    "Scalar",
-    "SymmetricCubic",
-    "TransformationUndefinedError",
-    "check_macaulay_size",
-    "closed_form_resultant",
-    "configuratrix_resultant",
-    "configuratrix_system",
-    "det_bareiss",
-    "det_rational",
-    "elem_sym",
-    "grevlex_key",
-    "indicatrix_degenerate",
-    "macaulay_resultant",
-    "monomials_of_degree",
-    "formula_to_canonical_ratio",
-    "resultant_via_reduction",
-    "root_witness",
-    "verify_witness",
-]
+_HOMES = {
+    "closedform": "ReportFactor ResultantReport closed_form_resultant "
+                  "formula_to_canonical_ratio resultant_via_reduction",
+    "finsler": "DEGENERATE_METRIC_IDENTICALLY_ZERO ConfiguratrixResult MetricFunction Momentum "
+               "configuratrix_resultant configuratrix_system indicatrix_degenerate",
+    "oracle": "MacaulaySystem RootWitness check_macaulay_size det_bareiss det_rational "
+              "macaulay_resultant root_witness verify_witness",
+    "polycore": "MatrixSizeError MultiPoly QuadExt Scalar elem_sym grevlex_key monomials_of_degree",
+    "symcubic": "NormalizedCoeffs ReducedParams SymmetricCubic TransformationUndefinedError",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

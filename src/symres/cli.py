@@ -16,6 +16,8 @@ exhausted, or an answer too large to print. All numbers in JSON payloads
 are decimal strings so exactness survives any JSON parser. This module owns
 the JSON formats; scalars follow `polycore.parse_scalar`, as in the library.
 Each command returns its output text and exit code, and `main` writes it.
+The oracle and the configuratrix layer are imported inside the commands
+that use them, so `closed` and `sweep` never load them.
 """
 from __future__ import annotations
 
@@ -32,14 +34,6 @@ from .closedform import (
     closed_form_resultant,
     formula_to_canonical_ratio,
     resultant_via_reduction,
-)
-from .finsler import MetricFunction, Momentum, configuratrix_resultant
-from .oracle import (
-    MacaulaySystem,
-    RootWitness,
-    check_macaulay_size,
-    macaulay_resultant,
-    root_witness,
 )
 from .polycore import MatrixSizeError, QuadExt, parse_scalar
 from .symcubic import SymmetricCubic, TransformationUndefinedError, check_dimension
@@ -66,8 +60,10 @@ def read_cubic(data: dict) -> SymmetricCubic:
     return SymmetricCubic(data["n"], *(str(data[key]) for key in ("A1", "A2", "A3")))
 
 
-def read_momentum(data: dict) -> Momentum:
-    """The momentum of {"y": ["rat", ...]}."""
+def read_momentum(data: dict):
+    """The `finsler.Momentum` of {"y": ["rat", ...]}."""
+    from .finsler import Momentum
+
     values = data["y"]
     if type(values) is not list:
         raise ValueError(f"y must be a JSON list, got {values!r}")
@@ -94,7 +90,8 @@ def report_json(report: ResultantReport) -> dict:
     }
 
 
-def witness_json(witness: Optional[RootWitness]) -> dict:
+def witness_json(witness) -> dict:
+    """The payload of an `oracle.RootWitness`, or of None."""
     if witness is None:
         return {"witness": None}
     radicands = [x.radicand for x in witness.point if isinstance(x, QuadExt) and x.radical]
@@ -117,6 +114,8 @@ def cmd_closed(args) -> tuple[str, int]:
 
 
 def cmd_compare(args) -> tuple[str, int]:
+    from .oracle import MacaulaySystem, check_macaulay_size, macaulay_resultant
+
     cubic = read_cubic(_read_json(args.input))
     if args.oracle:
         check_macaulay_size(repeat(2, cubic.n))
@@ -137,6 +136,8 @@ def cmd_compare(args) -> tuple[str, int]:
 
 
 def cmd_witness(args) -> tuple[str, int]:
+    from .oracle import root_witness
+
     return json_line(witness_json(root_witness(read_cubic(_read_json(args.input))))), EXIT_OK
 
 
@@ -176,6 +177,8 @@ def cmd_sweep(args) -> tuple[str, int]:
 
 
 def cmd_configuratrix(args) -> tuple[str, int]:
+    from .finsler import MetricFunction, configuratrix_resultant
+
     metric = MetricFunction(read_cubic(_read_json(args.metric)))
     result = configuratrix_resultant(metric, read_momentum(_read_json(args.momentum)))
     payload = {"resultant": result.value, "vanishes": result.vanishes,

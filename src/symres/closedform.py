@@ -17,8 +17,8 @@ reported rather than hidden.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polycore import MatrixSizeError, Scalar
 from .symcubic import ReducedParams, SymmetricCubic
@@ -34,15 +34,13 @@ def formula_to_canonical_ratio(n: int) -> Fraction:
     return Fraction(2) ** (2 ** (n - 1))
 
 
-@dataclass(frozen=True)
-class ReportFactor:
+class ReportFactor(NamedTuple):
     k: int
     value: Fraction
     exponent: int
 
 
-@dataclass(frozen=True)
-class ResultantReport:
+class ResultantReport(NamedTuple):
     """Both normalizations of the resultant plus its factor structure.
 
     ``formula_value`` is the factored closed form evaluated verbatim;
@@ -92,8 +90,8 @@ def _expand(a3: Fraction, factors: list[Fraction]) -> tuple[Fraction, Fraction, 
     for p, q, e in parts:
         num *= p ** e
         den *= q ** e
-    total = Fraction(num, den)
-    return total, total / formula_to_canonical_ratio(n), exponents
+    total = Fraction(num, den)  # the one full gcd: an int divisor 2^m cancels only twos
+    return total, total / (1 << 2 ** (n - 1)), exponents
 
 
 def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:

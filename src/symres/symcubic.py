@@ -8,8 +8,8 @@ coefficient transformations the resultant formulas are phrased in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polycore import MultiPoly, ScalarLike, _exact, elem_sym, monomials_of_degree
 
@@ -18,8 +18,7 @@ class TransformationUndefinedError(ValueError):
     """The reduction to coordinate-quadratic form needs a3 != 0 and d != 0."""
 
 
-@dataclass(frozen=True)
-class ReducedParams:
+class ReducedParams(NamedTuple):
     """Parameters of the reduced quadratic system F_i = x_i^2 + 2a*x_i*s1 + b*s1^2.
 
     Every coordinate of a common root of the gradient system satisfies
@@ -35,8 +34,7 @@ class ReducedParams:
     radicand: Fraction
 
 
-@dataclass(frozen=True)
-class NormalizedCoeffs:
+class NormalizedCoeffs(NamedTuple):
     """Coefficient triple in which the closed-form resultant factors nicely.
 
     b1 is the value of the cubic at the all-ones point divided by n, b2 is

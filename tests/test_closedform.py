@@ -8,7 +8,14 @@ import pytest
 
 import symres.closedform
 from symres.cli import json_line, report_json
-from symres.closedform import MAX_CLOSED_FORM_BITS, closed_form_resultant, resultant_via_reduction
+from symres.closedform import (
+    MAX_CLOSED_FORM_BITS,
+    ReportFactor,
+    ResultantReport,
+    closed_form_resultant,
+    formula_to_canonical_ratio,
+    resultant_via_reduction,
+)
 from symres.oracle import MatrixSizeError
 from symres.symcubic import (
     NormalizedCoeffs,
@@ -19,6 +26,7 @@ from symres.symcubic import (
 
 from test_acceptance import grouped_product, sign_vector_product
 from test_oracle import _from_normalized
+from test_output_pins import strata_cubics
 from test_symcubic import random_cubic
 
 
@@ -223,6 +231,38 @@ def test_report_json_schema():
         {"k": 1, "Y": "54", "exp": 2},
         {"k": 2, "Y": "54", "exp": 1},
     ]
+
+
+def test_canonical_value_is_the_formula_value_over_the_ratio():
+    # the canonical value is the reduced formula value divided by the integer
+    # 2^(2^(n-1)), not by formula_to_canonical_ratio; the law pins that step
+    cubics = [SymmetricCubic(*cubic) for cubic in strata_cubics()]
+    cubics += [SymmetricCubic(n, a1, a2, a3) for n in range(3, 13)
+               for a1, a2, a3 in ((1, 0, 0), (0, 0, 1), (0, 1, 0))]
+    vanishing = 0
+    for sc in cubics:
+        report = closed_form_resultant(sc)
+        assert type(report.canonical_value) is Fraction
+        assert report.canonical_value * 2 ** 2 ** (sc.n - 1) == report.formula_value
+        assert report.canonical_value == report.formula_value / formula_to_canonical_ratio(sc.n)
+        vanishing += report.vanishes
+    assert 0 < vanishing < len(cubics)
+
+
+def test_report_records_keep_their_fields_and_equality():
+    assert ReportFactor._fields == ("k", "value", "exponent")
+    assert ResultantReport._fields == ("canonical_value", "formula_value", "factors", "vanishes")
+    assert ReducedParams._fields == ("a", "b", "d", "radicand")
+    assert NormalizedCoeffs._fields == ("b1", "b2", "b3")
+    sc = SymmetricCubic(4, Fraction(1, 3), -2, 5)
+    report = closed_form_resultant(sc)
+    assert report == closed_form_resultant(SymmetricCubic(4, Fraction(1, 3), -2, 5))
+    assert report != closed_form_resultant(SymmetricCubic(4, Fraction(1, 3), -2, 6))
+    assert report.factors[1] == ReportFactor(k=1, value=report.factors[1].value, exponent=3)
+    assert sc.reduced_params() == ReducedParams(*sc.reduced_params())
+    assert sc.normalized_coeffs() == normalized_reference(sc)
+    with pytest.raises(AttributeError):
+        report.vanishes = True
 
 
 # -- sign-vector products ----------------------------------------------------------

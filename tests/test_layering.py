@@ -1,5 +1,7 @@
 """Module ownership, read from the sources: the CLI owns the wire format, the
-closed form stays independent of the oracle that checks it, every name the
+closed form stays independent of the oracle that checks it, the package
+loads a module only when one of its names is used and the closed form's
+commands load neither the oracle nor the configuratrix, every name the
 benchmark's tracer binds exists, every public name and public method has a
 user in the library or the benchmark (not only in tests or demos), and every
 private helper has a user in the sources."""
@@ -10,6 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import symres
 import symres.oracle
 from symres.polycore import MultiPoly
 
@@ -65,6 +70,60 @@ def test_library_import_leaves_the_cli_unloaded():
         [sys.executable, "-c", "import sys, symres; print('symres.cli' in sys.modules)"],
         capture_output=True, text=True, timeout=20)
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_closed_and_sweep_load_neither_the_oracle_nor_the_configuratrix(tmp_path):
+    cubic, grid = tmp_path / "cubic.json", tmp_path / "grid.json"
+    cubic.write_text('{"n": 4, "A1": "1/3", "A2": "-2", "A3": "5"}')
+    grid.write_text('{"n": 3, "A1": {"start": "-1", "stop": "1", "step": "1"}, '
+                    '"A2": {"start": "0", "stop": "2", "step": "1/2"}, "A3": "1"}')
+    code = ("import sys\nfrom symres.cli import main\n"
+            f"main(['sweep', {str(grid)!r}, '--out', {str(tmp_path / 'sweep.out')!r}])\n"
+            f"main(['closed', {str(cubic)!r}, '--out', {str(tmp_path / 'closed.out')!r}])\n"
+            "print(sorted(name for name in sys.modules if name.startswith('symres.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert proc.stdout == "['symres.cli', 'symres.closedform', 'symres.polycore', " \
+                          "'symres.symcubic']\n", proc.stderr
+    assert (tmp_path / "sweep.out").read_text().count("\n") == 15
+
+
+def test_bare_import_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, symres; print([name for name in sys.modules if name.startswith('symres.')])"],
+        capture_output=True, text=True, timeout=20)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+def defined_names(path):
+    """Names a module's top level defines: functions, classes and assigned names."""
+    for stmt in parse(path).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name
+        elif isinstance(stmt, ast.Assign):
+            yield from (target.id for target in stmt.targets if isinstance(target, ast.Name))
+
+
+def test_every_public_name_resolves_to_its_definition():
+    # the package resolves a name on first use; it must be the object its
+    # home module defines, not a re-export of it
+    homes = {name: path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
+             for name in defined_names(path) if name in symres.__all__}
+    assert sorted(homes) == sorted(symres.__all__)
+    for name, home in homes.items():
+        assert getattr(symres, name) is getattr(importlib.import_module(f"symres.{home}"), name)
+    for name in ("no_such_name", "closed_form", "oracle_"):
+        with pytest.raises(AttributeError):
+            getattr(symres, name)
+
+
+def test_no_module_on_the_sweep_path_imports_dataclasses():
+    # dataclasses pulls in inspect at every CLI start; the sweep path's
+    # records are NamedTuples
+    for module in ("closedform", "symcubic", "polycore", "cli"):
+        names = list(imported_names(PACKAGE / f"{module}.py"))
+        assert names
+        assert not any(name.split(".")[0] == "dataclasses" for name in names), module
 
 
 def test_perfbench_tracer_binds_every_name_it_traces(monkeypatch):
