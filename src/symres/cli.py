@@ -48,11 +48,13 @@ MAX_SWEEP_POINTS = 10 ** 6
 _ENCODER = json.JSONEncoder(default=str)
 
 
-def _read_json(path: Optional[str]):
-    if path is None or path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_json(path: Optional[str]) -> dict:
+    """The JSON object in the file, or on stdin for None or '-'."""
+    with nullcontext(sys.stdin) if path in (None, "-") else open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def read_cubic(data: dict) -> SymmetricCubic:
@@ -190,39 +192,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symres",
         description="Exact resultants of symmetric-cubic gradient systems.")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_closed = sub.add_parser("closed", help="closed-form resultant report")
+    p_closed = sub.add_parser("closed", parents=[out], help="closed-form resultant report")
     p_closed.add_argument("input", nargs="?", default=None,
                           help="cubic JSON file ('-' or omitted: stdin)")
     p_closed.add_argument("--paper-normalization", action="store_true",
                           help="report the raw formula value as primary")
-    p_closed.add_argument("--out", default=None, help="write output to file")
     p_closed.set_defaults(func=cmd_closed)
 
-    p_cmp = sub.add_parser("compare", help="cross-check all computation routes")
+    p_cmp = sub.add_parser("compare", parents=[out], help="cross-check all computation routes")
     p_cmp.add_argument("input", nargs="?", default=None)
     p_cmp.add_argument("--oracle", action="store_true",
                        help="include the Macaulay-matrix oracle")
-    p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_wit = sub.add_parser("witness", help="common-root witness or null")
+    p_wit = sub.add_parser("witness", parents=[out], help="common-root witness or null")
     p_wit.add_argument("input", nargs="?", default=None)
-    p_wit.add_argument("--out", default=None)
     p_wit.set_defaults(func=cmd_witness)
 
-    p_sweep = sub.add_parser("sweep", help="closed form over an (A1, A2) grid")
+    p_sweep = sub.add_parser("sweep", parents=[out], help="closed form over an (A1, A2) grid")
     p_sweep.add_argument("input", nargs="?", default=None,
                          help="sweep spec JSON file ('-' or omitted: stdin)")
-    p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_conf = sub.add_parser("configuratrix",
+    p_conf = sub.add_parser("configuratrix", parents=[out],
                             help="configuratrix resultant at a momentum")
     p_conf.add_argument("metric", help="cubic JSON file ('-' for stdin)")
     p_conf.add_argument("momentum", help="momentum JSON file ('-' for stdin)")
-    p_conf.add_argument("--out", default=None)
     p_conf.set_defaults(func=cmd_configuratrix)
     return parser
 
@@ -238,7 +237,8 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps({"error": str(exc) or "out of memory"}) + "\n")
         return EXIT_GUARD
     except (ValueError, KeyError, TypeError, RecursionError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+        message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        sys.stderr.write(json.dumps({"error": message}) + "\n")
         return EXIT_INPUT
 
 

@@ -31,7 +31,7 @@ MAX_CLOSED_FORM_BITS = 10 ** 6
 
 def formula_to_canonical_ratio(n: int) -> Fraction:
     """Constant ratio between the raw factored formula and the canonical value."""
-    return Fraction(2) ** (2 ** (n - 1))
+    return Fraction(1 << 2 ** (n - 1))
 
 
 class ReportFactor(NamedTuple):
@@ -90,8 +90,8 @@ def _expand(a3: Fraction, factors: list[Fraction]) -> tuple[Fraction, Fraction, 
     for p, q, e in parts:
         num *= p ** e
         den *= q ** e
-    total = Fraction(num, den)  # the one full gcd: an int divisor 2^m cancels only twos
-    return total, total / (1 << 2 ** (n - 1)), exponents
+    total = Fraction(num, den)  # the one full gcd: a divisor 2^m cancels only twos
+    return total, total / formula_to_canonical_ratio(n), exponents
 
 
 def closed_form_resultant(sc: SymmetricCubic) -> ResultantReport:

@@ -178,50 +178,47 @@ def _integer_forms(forms, degrees):
     return cleared, scale
 
 
-def _columns(degrees):
-    """The critical degree nu and each degree-nu monomial's column, in
-    canonical order."""
-    nu = sum(d - 1 for d in degrees) + 1
-    return nu, {mono: i for i, mono in enumerate(monomials_of_degree(len(degrees), nu))}
-
-
-def _row(form, alpha, col_index) -> list[int]:
-    """The row x^alpha * form of a form given as integer terms {exponents: int}."""
-    row = [0] * len(col_index)
-    for exps, c in form.items():
-        row[col_index[tuple(map(add, exps, alpha))]] = c
-    return row
-
-
 @functools.lru_cache(maxsize=8)
 def _template(degrees: tuple[int, ...]):
-    """What the Macaulay matrix takes from the degrees alone: per row (column
-    order) its form index i and a map from each degree-d_i monomial to the
-    row's column; the column count; the non-reduced column indices."""
-    _, col_index = _columns(degrees)
-    monomials = {d: monomials_of_degree(len(degrees), d) for d in set(degrees)}
-    rows, non_reduced = [], []
+    """What the Macaulay matrices take from the degrees alone: per column
+    x^beta (canonical order), least i first, a row x^alpha * F_i for each i
+    with x_i^(d_i) | x^beta (alpha = beta - d_i*e_i), as i and a map from
+    each degree-d_i monomial to its column; the column count; the
+    non-reduced columns. Each column's first row makes M; all rows, the full
+    matrix."""
+    n, nu = len(degrees), sum(d - 1 for d in degrees) + 1
+    col_index = {mono: i for i, mono in enumerate(monomials_of_degree(n, nu))}
+    monomials = {d: monomials_of_degree(n, d) for d in set(degrees)}
+    columns, non_reduced = [], []
     for ci, beta in enumerate(col_index):
-        divisors = [i for i, d in enumerate(degrees) if beta[i] >= d]
-        if len(divisors) >= 2:
+        rows = []
+        for i, d in enumerate(degrees):
+            if beta[i] >= d:
+                alpha = beta[:i] + (beta[i] - d,) + beta[i + 1:]
+                rows.append((i, {e: col_index[tuple(map(add, e, alpha))] for e in monomials[d]}))
+        if len(rows) >= 2:
             non_reduced.append(ci)
-        i = divisors[0]
-        alpha = beta[:i] + (beta[i] - degrees[i],) + beta[i + 1:]
-        rows.append((i, {e: col_index[tuple(map(add, e, alpha))] for e in monomials[degrees[i]]}))
-    return tuple(rows), len(col_index), tuple(non_reduced)
+        columns.append(tuple(rows))
+    return tuple(columns), len(col_index), tuple(non_reduced)
+
+
+def _fill(forms, rows, size) -> list[list[int]]:
+    """Fresh matrix rows of forms given as integer terms {exponents: int},
+    one per template row (i, columns)."""
+    matrix = []
+    for i, columns in rows:
+        row = [0] * size
+        for exps, c in forms[i].items():
+            row[columns[exps]] = c
+        matrix.append(row)
+    return matrix
 
 
 def _build_matrix(forms, degrees):
     """Macaulay rows (column order) of forms given as integer terms
     {exponents: int}, and the non-reduced column indices: fresh lists."""
-    template, size, non_reduced = _template(tuple(degrees))
-    rows = []
-    for i, columns in template:
-        row = [0] * size
-        for exps, c in forms[i].items():
-            row[columns[exps]] = c
-        rows.append(row)
-    return rows, list(non_reduced)
+    columns, size, non_reduced = _template(tuple(degrees))
+    return _fill(forms, [rows[0] for rows in columns], size), list(non_reduced)
 
 
 def _rank_deficient(forms, degrees) -> bool:
@@ -229,9 +226,8 @@ def _rank_deficient(forms, degrees) -> bool:
     |alpha| = nu - d_i, has rank below its N columns: by Macaulay's theorem
     (Cox-Little-O'Shea, Using Algebraic Geometry, Ch. 3) exactly when the
     forms have a common projective zero, i.e. when the resultant is 0."""
-    nu, col_index = _columns(degrees)
-    return det_bareiss([_row(f, alpha, col_index) for f, d in zip(forms, degrees)
-                        for alpha in monomials_of_degree(len(degrees), nu - d)]) == 0
+    columns, size, _ = _template(tuple(degrees))
+    return det_bareiss(_fill(forms, [row for rows in columns for row in rows], size)) == 0
 
 
 def _det_ratio(rows, non_reduced) -> Optional[Fraction]:

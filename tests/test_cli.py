@@ -542,6 +542,44 @@ def test_out_file_holds_the_bytes_stdout_shows(tmp_path, capsys, argv, expected_
     assert out_path.read_bytes() == out.encode("utf-8")
 
 
+# -- input errors ------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["closed", "compare", "witness", "sweep"])
+@pytest.mark.parametrize("payload, kind", [([1, 2], "list"), ("3", "str"), (None, "NoneType")])
+def test_input_that_is_not_a_json_object_is_named(tmp_path, capsys, command, payload, kind):
+    path = write_json(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"expected a JSON object, got {kind}"}
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("closed", {"n": 3, "A1": "1", "A2": "0"}, "A3"),
+    ("witness", {"A1": "1", "A2": "0", "A3": "0"}, "n"),
+    ("sweep", {"n": 3, "A1": {"start": "0", "stop": "1", "step": "1"}, "A3": "1"}, "A2"),
+    ("sweep", dict(SWEEP_3X3, A1={"start": "0", "step": "1"}), "stop"),
+])
+def test_missing_field_is_named(tmp_path, capsys, command, payload, field):
+    code, out, err = run_cli(capsys, command, write_json(tmp_path, "bad.json", payload))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"missing field '{field}'"}
+
+
+def test_configuratrix_names_a_missing_momentum_field(tmp_path, capsys):
+    metric = write_json(tmp_path, "metric.json", POWER_SUMS)
+    momentum = write_json(tmp_path, "momentum.json", {"x": ["1", "0", "0"]})
+    code, out, err = run_cli(capsys, "configuratrix", metric, momentum)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "missing field 'y'"}
+
+
+@pytest.mark.parametrize("command", ["closed", "compare", "witness", "sweep", "configuratrix"])
+def test_every_command_documents_out(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--out OUT write output to file" in " ".join(capsys.readouterr().out.split())
+
+
 # -- process-level smoke test --------------------------------------------------------
 
 def test_module_entry_point_runs(tmp_path):

@@ -234,8 +234,8 @@ def test_report_json_schema():
 
 
 def test_canonical_value_is_the_formula_value_over_the_ratio():
-    # the canonical value is the reduced formula value divided by the integer
-    # 2^(2^(n-1)), not by formula_to_canonical_ratio; the law pins that step
+    # the canonical value is the reduced formula value divided by
+    # formula_to_canonical_ratio, the Fraction 2^(2^(n-1)); the law pins that step
     cubics = [SymmetricCubic(*cubic) for cubic in strata_cubics()]
     cubics += [SymmetricCubic(n, a1, a2, a3) for n in range(3, 13)
                for a1, a2, a3 in ((1, 0, 0), (0, 0, 1), (0, 1, 0))]
@@ -245,6 +245,7 @@ def test_canonical_value_is_the_formula_value_over_the_ratio():
         assert type(report.canonical_value) is Fraction
         assert report.canonical_value * 2 ** 2 ** (sc.n - 1) == report.formula_value
         assert report.canonical_value == report.formula_value / formula_to_canonical_ratio(sc.n)
+        assert type(formula_to_canonical_ratio(sc.n)) is Fraction
         vanishing += report.vanishes
     assert 0 < vanishing < len(cubics)
 

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -15,11 +16,9 @@ from symres.oracle import (
     MatrixSizeError,
     RootWitness,
     _build_matrix,
-    _columns,
     _integer_forms,
     _pencil_value,
     _rank_deficient,
-    _row,
     check_macaulay_size,
     det_bareiss,
     det_rational,
@@ -385,6 +384,21 @@ def test_macaulay_size_rule_admits_what_the_routes_run():
         assert len(str(refused.value)) < 100
 
 
+def _columns(degrees):
+    """The critical degree nu and each degree-nu monomial's column, in
+    canonical order: the reference the oracle's template is checked against."""
+    nu = sum(d - 1 for d in degrees) + 1
+    return nu, {mono: i for i, mono in enumerate(monomials_of_degree(len(degrees), nu))}
+
+
+def _row(form, alpha, col_index) -> list[int]:
+    """The row x^alpha * form of a form given as integer terms {exponents: int}."""
+    row = [0] * len(col_index)
+    for exps, c in form.items():
+        row[col_index[tuple(map(add, exps, alpha))]] = c
+    return row
+
+
 @pytest.mark.parametrize("degrees", [(2,) * 3, (2,) * 4, (2,) * 5, (3, 2, 2, 2)])
 def test_columns_are_the_degree_nu_monomials_in_descending_grevlex(degrees):
     # gradient systems at n = 3..5 and the n = 3 configuratrix; the reference
@@ -447,6 +461,27 @@ def test_build_matrix_returns_fresh_lists(degrees):
     assert _build_matrix(forms, list(degrees)) == expected
 
 
+def uncached_full_matrix(forms, degrees):
+    """The reference tall build: every row x^alpha * F_i with |alpha| = nu - d_i."""
+    nu, col_index = _columns(degrees)
+    return [_row(f, alpha, col_index) for f, d in zip(forms, degrees)
+            for alpha in monomials_of_degree(len(degrees), nu - d)]
+
+
+@pytest.mark.parametrize("degrees", TEMPLATE_DEGREES + [(1, 1, 1)])
+def test_full_matrix_is_every_multiple_of_every_form(monkeypatch, degrees):
+    # the certificate's rows come grouped by column, not by form; only the
+    # zero test of their determinant is read, so they compare as a multiset
+    eliminated = []
+    monkeypatch.setattr(symres.oracle, "det_bareiss", lambda rows: eliminated.append(rows) or 1)
+    rng = random.Random(f"full-{degrees}")
+    for _ in range(3):
+        forms = random_integer_forms(rng, degrees)
+        assert not _rank_deficient(forms, list(degrees))
+        rows = collections.Counter(map(tuple, eliminated.pop()))
+        assert rows == collections.Counter(map(tuple, uncached_full_matrix(forms, degrees)))
+
+
 def counted_monomials(monkeypatch):
     """The calls of monomials_of_degree, as the oracle binds it, from an
     empty template cache on."""
@@ -469,6 +504,18 @@ def test_monomials_are_enumerated_only_on_the_first_build(monkeypatch, degrees):
         _build_matrix(random_integer_forms(rng, degrees), list(degrees))
     n, nu = len(degrees), sum(degrees) - len(degrees) + 1
     assert sorted(calls) == sorted([(n, nu)] + [(n, d) for d in set(degrees)])
+
+
+@pytest.mark.parametrize("degrees", TEMPLATE_DEGREES)
+def test_rank_certificate_reuses_the_template(monkeypatch, degrees):
+    # the elimination is stubbed: only the build is counted
+    calls = counted_monomials(monkeypatch)
+    monkeypatch.setattr(symres.oracle, "det_bareiss", lambda rows: 1)
+    forms = random_integer_forms(random.Random(f"certificate-{degrees}"), degrees)
+    _build_matrix(forms, list(degrees))
+    built = len(calls)
+    _rank_deficient(forms, list(degrees))
+    assert len(calls) == built
 
 
 def test_retries_reuse_the_template(monkeypatch):
